@@ -184,8 +184,8 @@ def run(req: JobRequest) -> JobResult:
     """Dispatch a parsed request; deterministic for every worker count."""
     result = JobResult(mode=req.mode, ok=True)
     started = time.perf_counter()
-    insertions = _expand(req.insertions)
     try:
+        insertions = _expand(req.insertions)
         if req.mode == "grassmannian":
             spec = GrassmannSpec(req.r, _require_n(req), req.g, req.d)
             result.dims = {
@@ -197,6 +197,7 @@ def run(req: JobRequest) -> JobResult:
                 count = vi_engine.vi_integral_parallel(spec, insertions, req.workers)
             else:
                 count = vi_engine.vi_integral(spec, insertions)
+            result.stats["summands"] = count.summands
             _count_fields(result, count)
 
         elif req.mode in ("hypersurface", "complete-intersection"):

@@ -146,6 +146,21 @@ class Cyc:
         num = self._num
         return Cyc._make(n, num[n - t:] + num[:n - t], self._den)
 
+    def galois(self, u: int) -> Cyc:
+        """Apply sigma_u: w -> w^u, a ring automorphism for u prime to n.
+
+        Coefficient k moves to position u*k mod n, so sigma_u permutes
+        coefficients and commutes with every sum and product.
+        """
+        n = self.order
+        if gcd(u, n) != 1:
+            raise ValueError(f"sigma_{u} is an automorphism only for u prime to {n}")
+        v = pow(u, -1, n)
+        if v == 1:
+            return self
+        num = self._num
+        return Cyc._make(n, tuple(num[v * k % n] for k in range(n)), self._den)
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Cyc)

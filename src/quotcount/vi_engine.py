@@ -16,19 +16,29 @@ taken through a certified elementary inverse, so the whole computation
 stays in exact cyclotomic arithmetic; the finished sum is reduced to a
 rational number and certified to be an integer.
 
-Subsets are enumerated in colexicographic order, which gives stable
-contiguous blocks for the multi-process evaluator, and a rotation action
-on subsets (add 1 to every exponent mod n) leaves each summand invariant
-in top degree, powering the orbit-reduced evaluator.
+The sum is folded over the affine group I -> u*I + t (gcd(u, n) = 1)
+acting on exponent subsets.  In top degree a rotation (t) leaves each
+summand unchanged exactly, and a unit u maps it by the ring automorphism
+sigma_u: w -> w^u.  Subsets are therefore visited as binary necklaces
+(least rotations, generated by a density-pruned FKM recursion), necklaces
+that a unit maps onto each other are merged, and one summand is evaluated
+per affine orbit, weighted by the orbit's size.  Averaging sigma_u over
+the units of Z/n turns that weighted sum S into the full subset sum,
+
+    sum over I of summand(I) = (1/phi(n)) * sum over u of sigma_u(S),
+
+as an element of Q[w]/(w^n - 1), before any reduction modulo Phi_n.  The
+multi-process evaluator splits the representatives across a process
+pool; exact arithmetic makes the result identical for every worker count.
 """
 
 from __future__ import annotations
 
 import enum
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import symfunc
@@ -68,6 +78,9 @@ class VirtualCount:
     value: Fraction
     is_integer: bool
     advisory: Advisory
+    # Summands the engine evaluated (one per affine orbit); a work
+    # statistic, not part of the value.
+    summands: Optional[int] = field(default=None, compare=False)
 
     def as_integer(self) -> int:
         if not self.is_integer:
@@ -159,6 +172,75 @@ def iter_colex(n: int, r: int, start: int = 0, stop: Optional[int] = None) -> It
                 for j in range(t):
                     cur[j] = j
                 break
+
+
+# -- orbit representatives -------------------------------------------------
+
+def necklaces(n: int, r: int) -> list[tuple[tuple[int, ...], int]]:
+    """Binary necklaces of length n with r ones, each with its rotation-orbit size.
+
+    A necklace is the lexicographically least rotation of a 0/1 string of
+    length n; it is returned as the positions of its ones, an r-subset of
+    {0..n-1}, together with its number of distinct rotations (its period).
+    The FKM recursion (Fredricksen-Kessler-Maiorana) visits prenecklaces in
+    lex order; branches that cannot end with exactly r ones are pruned
+    (Ruskey-Sawada fixed density).
+    """
+    if not 0 <= r <= n:
+        raise ValueError("density must satisfy 0 <= r <= n")
+    out: list[tuple[tuple[int, ...], int]] = []
+    a = [0] * (n + 1)  # a[1..n] is the string; a[0] = 0 seeds the recursion
+
+    def extend(t: int, p: int, ones: int) -> None:
+        if t > n:
+            if n % p == 0:
+                out.append((tuple(k - 1 for k in range(1, n + 1) if a[k]), p))
+            return
+        room = n - t
+        b = a[t - p]
+        if ones + b <= r <= ones + b + room:
+            a[t] = b
+            extend(t + 1, p, ones + b)
+        if b == 0 and ones + 1 <= r <= ones + 1 + room:
+            a[t] = 1
+            extend(t + 1, t, ones + 1)
+
+    extend(1, 1, 0)
+    return out
+
+
+def _units(n: int) -> list[int]:
+    """The residues u in [1, n] prime to n; u = 1 comes first."""
+    return [u for u in range(1, n + 1) if gcd(u, n) == 1]
+
+
+def _least_rotation(subset: Iterable[int], n: int) -> tuple[int, ...]:
+    bits = [0] * n
+    for a in subset:
+        bits[a] = 1
+    doubled = bits + bits
+    shift = min(range(n), key=lambda s: doubled[s:s + n])
+    return tuple(sorted((a - shift) % n for a in subset))
+
+
+def affine_orbits(n: int, r: int) -> list[tuple[tuple[int, ...], int]]:
+    """One r-subset per orbit of I -> u*I + t (gcd(u, n) = 1), with the orbit's size.
+
+    Each orbit is the union of the rotation orbits of the necklaces u*I;
+    its representative is the least of those necklaces.
+    """
+    found = necklaces(n, r)
+    period = dict(found)
+    seen: set[tuple[int, ...]] = set()
+    group = _units(n)
+    reps = []
+    for subset, _ in found:
+        if subset in seen:
+            continue
+        images = {_least_rotation([u * a % n for a in subset], n) for u in group}
+        seen.update(images)
+        reps.append((subset, sum(period[m] for m in images)))
+    return reps
 
 
 # -- summand assembly -------------------------------------------------------
@@ -264,7 +346,9 @@ def _sign(spec: GrassmannSpec) -> int:
     return -1 if (spec.d * (spec.r - 1)) % 2 else 1
 
 
-def _finalize(spec: GrassmannSpec, total: Cyc, insertions: Sequence[Insertion]) -> VirtualCount:
+def _finalize(
+    spec: GrassmannSpec, total: Cyc, insertions: Sequence[Insertion], summands: Optional[int] = None
+) -> VirtualCount:
     value = extract_rational(total) * _sign(spec)
     if value.denominator != 1:
         raise NonIntegralError(f"virtual count came out non-integral: {value}")
@@ -273,32 +357,63 @@ def _finalize(spec: GrassmannSpec, total: Cyc, insertions: Sequence[Insertion]) 
         if any(ins.kind == SEGRE for ins in insertions)
         else PLAIN_TARGET_ADVISORY
     )
-    return VirtualCount(value, True, advisory)
+    return VirtualCount(value, True, advisory, summands)
 
 
 def j_factor(spec: GrassmannSpec, index: SubsetIndex) -> Cyc:
     """J of the chosen roots, as the product of r*(n-r) root differences."""
     if len(index.indices) != spec.r or any(a >= spec.n for a in index.indices):
         raise ValueError("subset does not match the spec")
+    return _Evaluator(spec, (), ()).j_factor(index.indices)
+
+
+def _weighted_sum(args) -> Cyc:
+    spec, cherns, segres, reps = args
+    ev = _Evaluator(spec, cherns, segres)
+    total = zero(spec.n)
+    for subset, weight in reps:
+        total = total + ev.summand(subset).scale(weight)
+    return total
+
+
+def _folded_total(
+    spec: GrassmannSpec, insertions: Sequence[Insertion], workers: int
+) -> tuple[Cyc, int]:
+    """The full subset sum, unreduced, and the number of summands it took.
+
+    S = sum of orbit size * summand(representative) over the affine orbits,
+    split across `workers` processes when there is more than one; the
+    average of sigma_u(S) over the units u of Z/n is then the sum over
+    every subset, exactly in Q[w]/(w^n - 1).
+    """
     n = spec.n
-    roots = [root_of_unity(n, a) for a in range(n)]
-    inside = set(index.indices)
-    acc = root_of_unity(n, 0)
-    for i in index.indices:
-        for k in range(n):
-            if k not in inside:
-                acc = acc * (roots[i] - roots[k])
-    return acc
+    cherns, segres = _grouped(insertions)
+    reps = affine_orbits(n, spec.r)
+    jobs = [(spec, cherns, segres, reps[w::workers]) for w in range(min(workers, len(reps)))]
+    if len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            parts = list(pool.map(_weighted_sum, jobs))
+    else:
+        parts = [_weighted_sum(jobs[0])]
+    weighted = parts[0]
+    for part in parts[1:]:
+        weighted = weighted + part
+    group = _units(n)
+    total = weighted
+    for u in group[1:]:
+        total = total + weighted.galois(u)
+    return total.scale(Fraction(1, len(group))), len(reps)
+
+
+def _count(spec: GrassmannSpec, insertions: Iterable[Insertion], workers: int) -> VirtualCount:
+    insertions = _validate(spec, insertions)
+    total, summands = _folded_total(spec, insertions, workers)
+    return _finalize(spec, total, insertions, summands)
 
 
 def vi_integral(spec: GrassmannSpec, insertions: Iterable[Insertion]) -> VirtualCount:
-    """The counting sum over all C(n, r) root subsets, reduced serially."""
-    insertions = _validate(spec, insertions)
-    ev = _Evaluator(spec, *_grouped(insertions))
-    total = zero(spec.n)
-    for subset in iter_colex(spec.n, spec.r):
-        total = total + ev.summand(subset)
-    return _finalize(spec, total, insertions)
+    """The counting sum over all C(n, r) root subsets, in this process."""
+    return _count(spec, insertions, 1)
 
 
 def vi_integral_orbit_reduced(spec: GrassmannSpec, insertions: Iterable[Insertion]) -> VirtualCount:
@@ -321,39 +436,17 @@ def vi_integral_orbit_reduced(spec: GrassmannSpec, insertions: Iterable[Insertio
     return _finalize(spec, total, insertions)
 
 
-def _block_sum(args) -> Cyc:
-    spec, cherns, segres, start, stop = args
-    ev = _Evaluator(spec, cherns, segres)
-    total = zero(spec.n)
-    for subset in iter_colex(spec.n, spec.r, start, stop):
-        total = total + ev.summand(subset)
-    return total
-
-
 def vi_integral_parallel(
     spec: GrassmannSpec, insertions: Iterable[Insertion], workers: int
 ) -> VirtualCount:
-    """vi_integral with the subset range split into contiguous colex blocks.
+    """vi_integral with the orbit representatives split across `workers` processes.
 
-    Exact arithmetic is associative and commutative, so the block sums
+    Exact arithmetic is associative and commutative, so the partial sums
     recombine to the identical value for every worker count.
     """
     if workers < 1:
         raise ValueError("workers must be a positive integer")
-    insertions = _validate(spec, insertions)
-    cherns, segres = _grouped(insertions)
-    total_subsets = spec.subset_count
-    bounds = [total_subsets * w // workers for w in range(workers + 1)]
-    jobs = [
-        (spec, cherns, segres, bounds[w], bounds[w + 1])
-        for w in range(workers)
-        if bounds[w] < bounds[w + 1]
-    ]
-    total = zero(spec.n)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_block_sum, jobs):
-            total = total + part
-    return _finalize(spec, total, insertions)
+    return _count(spec, insertions, workers)
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,7 @@ def test_grassmannian_value_round_trip(capsys):
         "exact": "3", "numerator": "3", "denominator": "1", "float_approx": 3.0,
     }
     assert record["stats"]["subsets"] == 3
+    assert record["stats"]["summands"] == 1
 
 
 def test_duality_mode(capsys):
@@ -190,6 +191,25 @@ def test_batch_tolerates_malformed_records(tmp_path):
     assert summary["records"] == 3
     assert summary["ok"] == 1
     assert summary["validation_errors"] == 2
+    assert code == EXIT_VALIDATION
+
+
+def test_batch_survives_unknown_insertion_kind(tmp_path):
+    path = tmp_path / "bogus.jsonl"
+    path.write_text(
+        '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "insertions": [["bogus", 1, 3]]}\n'
+        '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:3"}\n'
+    )
+    buffer = io.StringIO()
+    code = run_batch(str(path), out=buffer)
+    rows = [json.loads(line) for line in buffer.getvalue().strip().splitlines()]
+    assert len(rows) == 3
+    assert rows[0]["ok"] is False
+    assert rows[0]["error"]["type"] == "ValueError"
+    assert rows[0]["error"]["exit"] == EXIT_VALIDATION
+    assert rows[1]["ok"] is True and rows[1]["value"]["exact"] == "3"
+    assert rows[2]["summary"] is True
+    assert rows[2]["records"] == 2 and rows[2]["ok"] == 1 and rows[2]["validation_errors"] == 1
     assert code == EXIT_VALIDATION
 
 

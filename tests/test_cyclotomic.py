@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -234,6 +235,69 @@ def test_rotate_matches_root_multiplication():
     x = Cyc(6, [1, 2, 0, Fraction(1, 3), 0, -1])
     for t in range(12):
         assert x.rotate(t) == x * root_of_unity(6, t)
+
+
+@st.composite
+def cyc_pairs_with_unit(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    u = draw(st.sampled_from([u for u in range(1, n + 1) if gcd(u, n) == 1]))
+    return draw(cyc_elements(order=n)), draw(cyc_elements(order=n)), u
+
+
+def phi_element(n: int) -> Cyc:
+    """Phi_n(w) as an order-n element (zero in the field Q[w]/Phi_n)."""
+    coeffs = [0] * n
+    for k, c in enumerate(cyclotomic_polynomial(n)):
+        coeffs[k % n] += c
+    return Cyc(n, coeffs)
+
+
+@given(cyc_pairs_with_unit())
+@settings(max_examples=60, deadline=None)
+def test_galois_is_a_ring_automorphism(pair):
+    x, y, u = pair
+    assert (x + y).galois(u) == x.galois(u) + y.galois(u)
+    assert (x * y).galois(u) == x.galois(u) * y.galois(u)
+    assert one(x.order).galois(u) == one(x.order)
+
+
+@given(cyc_pairs_with_unit())
+@settings(max_examples=60, deadline=None)
+def test_galois_permutes_coefficients(pair):
+    x, _, u = pair
+    n = x.order
+    image = x.galois(u)
+    assert sorted(image.coeffs) == sorted(x.coeffs)
+    assert image.galois(pow(u, -1, n)) == x
+    for k in range(n):
+        assert image.coeffs[u * k % n] == x.coeffs[k]
+
+
+def test_galois_moves_roots_and_rejects_non_units():
+    for n in range(1, 13):
+        for u in range(1, n + 1):
+            if gcd(u, n) != 1:
+                with pytest.raises(ValueError):
+                    one(n).galois(u)
+                continue
+            for k in range(n):
+                assert root_of_unity(n, k).galois(u) == root_of_unity(n, u * k)
+
+
+@given(cyc_pairs_with_unit(), small_rationals)
+@settings(max_examples=60, deadline=None)
+def test_galois_keeps_extract_rational(pair, q):
+    x, y, u = pair
+    n = x.order
+    rational_valued = rational(n, q) + y * phi_element(n)
+    assert extract_rational(rational_valued.galois(u)) == q
+    try:
+        expected = extract_rational(x)
+    except NotRationalError:
+        with pytest.raises(NotRationalError):
+            extract_rational(x.galois(u))
+    else:
+        assert extract_rational(x.galois(u)) == expected
 
 
 def test_field_equal_distinguishes():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +16,14 @@ from quotcount.vi_engine import (
     GrassmannSpec,
     SubsetIndex,
     _Evaluator,
+    _folded_total,
     _grouped,
+    _validate,
+    affine_orbits,
     duality_check,
     iter_colex,
     j_factor,
+    necklaces,
     subset_rank_colex,
     subset_unrank_colex,
     vi_integral,
@@ -49,6 +54,79 @@ def test_colex_rank_unrank_roundtrip():
 def test_colex_range_blocks():
     whole = list(iter_colex(7, 3))
     assert whole == list(iter_colex(7, 3, 0, 12)) + list(iter_colex(7, 3, 12))
+
+
+# -- necklaces and affine orbits -------------------------------------------
+
+def rotation_class(subset, n):
+    return frozenset(tuple(sorted((a + t) % n for a in subset)) for t in range(n))
+
+
+def test_necklace_orbit_sizes_cover_every_subset():
+    for n in range(1, 13):
+        for r in range(n + 1):
+            found = necklaces(n, r)
+            assert sum(size for _, size in found) == comb(n, r), (n, r)
+            classes = [rotation_class(subset, n) for subset, _ in found]
+            assert len(set(classes)) == len(classes), (n, r)
+            for (subset, size), cls in zip(found, classes):
+                assert len(subset) == r and size == len(cls), (n, r, subset)
+
+
+def test_affine_orbits_partition_the_subsets():
+    for n in range(1, 13):
+        group = [u for u in range(1, n + 1) if gcd(u, n) == 1]
+        for r in range(n + 1):
+            reps = affine_orbits(n, r)
+            assert sum(size for _, size in reps) == comb(n, r), (n, r)
+            orbits = [
+                frozenset().union(*(rotation_class([u * a % n for a in subset], n) for u in group))
+                for subset, _ in reps
+            ]
+            assert [len(o) for o in orbits] == [size for _, size in reps], (n, r)
+            assert len(frozenset().union(*orbits)) == comb(n, r), (n, r)
+
+
+def plain_total(spec, ins):
+    ev = _Evaluator(spec, *_grouped(ins))
+    total = ev.summand(next(iter_colex(spec.n, spec.r))).scale(0)
+    for subset in iter_colex(spec.n, spec.r):
+        total = total + ev.summand(subset)
+    return total
+
+
+def test_folded_total_equals_plain_subset_sum_in_the_ring():
+    from quotcount.twist import ProblemSpec, _boost
+
+    cases = [
+        (GrassmannSpec(2, 6, 0, 1), hyperplanes(14)),
+        (GrassmannSpec(3, 7, 0, 1), monomial((chern(1), 4), (chern(3), 5))),
+        (GrassmannSpec(2, 5, 1, 1), monomial((segre(3), 1), (segre(2), 1))),
+        (GrassmannSpec(3, 6, 0, 0), monomial((segre(1), 3), (segre(3), 2))),
+        (GrassmannSpec(3, 8, 1, 1), monomial((chern(1), 2), (segre(2), 3))),
+        (GrassmannSpec(2, 9, 2, 2), monomial((chern(2), 1), (chern(1), 2))),
+        (GrassmannSpec(4, 12, 2, 3), monomial((chern(4), 1))),
+    ]
+    # duality: the Segre mirror of a Chern problem
+    duality_spec, duality_ins = GrassmannSpec(3, 8, 1, 1), monomial((chern(2), 4))
+    cases.append((duality_spec.dual(), monomial((segre(2), 4))))
+    # a hypersurface: the boosted plain problem twist hands to the engine
+    cases.append(_boost(ProblemSpec(GrassmannSpec(2, 6, 1, 2), (2,), monomial((chern(1), 6), (chern(2), 1)))))
+    for spec, ins in cases:
+        ins = _validate(spec, ins)
+        for workers in (1, 2):
+            folded, summands = _folded_total(spec, ins, workers)
+            assert folded == plain_total(spec, ins), (spec, workers)
+            assert summands == len(affine_orbits(spec.n, spec.r))
+    assert duality_check(duality_spec, duality_ins).equal
+
+
+def test_summands_reported_per_affine_orbit():
+    # G(5,20): 15504 subsets, 776 rotation orbits, 120 affine orbits.
+    assert len(necklaces(20, 5)) == 776
+    assert len(affine_orbits(20, 5)) == 120
+    count = vi_integral(GrassmannSpec(2, 4, 0, 1), hyperplanes(8))
+    assert count.summands == len(affine_orbits(4, 2)) == 2
 
 
 # -- spec and subset types ---------------------------------------------------
@@ -268,9 +346,9 @@ def test_parallel_matches_serial_on_random_specs(n, data):
         i = rng.randint(1, min(r, left))
         ins.append(chern(i))
         left -= i
-    assert (
-        vi_integral_parallel(spec, ins, 3).value == vi_integral(spec, ins).value
-    )
+    reference = vi_integral_orbit_reduced(spec, ins).value
+    for workers in (1, 2, 3):
+        assert vi_integral_parallel(spec, ins, workers).value == reference, workers
 
 
 def test_duality_self_dual_projective_line():
