@@ -53,9 +53,9 @@ VALIDATION_ERRORS = (
     DimensionMismatchError,
     RegimeViolationError,
     ValueError,
-    ZeroDivisionError,
 )
-INTERNAL_ERRORS = (NotRationalError, NonIntegralError)
+# An arithmetic fault past validation is a breach, not a bad request.
+INTERNAL_ERRORS = (NotRationalError, NonIntegralError, ZeroDivisionError)
 
 
 @dataclass
@@ -417,6 +417,13 @@ def _exit_code(result: JobResult) -> int:
 
 # -- batch ------------------------------------------------------------------
 
+def _strict_int(value: object, name: str) -> int:
+    """A JSON integer as is; bools, floats and strings are refused, not coerced."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _request_from_record(record: dict) -> JobRequest:
     known = {
         "mode", "g", "d", "r", "n", "multidegree", "ins", "insertions",
@@ -431,22 +438,24 @@ def _request_from_record(record: dict) -> JobRequest:
     if isinstance(ins_field, str):
         insertions = parse_insertions(ins_field)
     else:
-        insertions = tuple((k, int(i), int(e)) for k, i, e in ins_field)
+        insertions = tuple(
+            (k, _strict_int(i, "insertion index"), _strict_int(e, "insertion exponent"))
+            for k, i, e in ins_field
+        )
+        if any(e < 0 for _, _, e in insertions):
+            raise ValueError("insertion exponents must be nonnegative")
+    # Absent fields keep JobRequest's defaults; null is allowed where that default is None.
+    ints = {name: _strict_int(record[name], name) for name in ("g", "d", "r", "workers") if name in record}
+    ints.update((name, _strict_int(record[name], name))
+                for name in ("n", "t", "m1", "m2") if record.get(name) is not None)
     return JobRequest(
         mode=record["mode"],
-        g=int(record.get("g", 0)),
-        d=int(record.get("d", 0)),
-        r=int(record.get("r", 1)),
-        n=int(record["n"]) if "n" in record else None,
-        multidegree=tuple(int(x) for x in record.get("multidegree", ())),
+        multidegree=tuple(_strict_int(x, "multidegree") for x in record.get("multidegree", ())),
         insertions=insertions,
-        workers=int(record.get("workers", 1)),
         path=record.get("path", "closed"),
         variant=record.get("variant", "projective"),
-        b_pairs=tuple(int(x) for x in record.get("b_pairs", ())),
-        t=int(record["t"]) if record.get("t") is not None else None,
-        m1=int(record["m1"]) if record.get("m1") is not None else None,
-        m2=int(record["m2"]) if record.get("m2") is not None else None,
+        b_pairs=tuple(_strict_int(x, "b_pairs") for x in record.get("b_pairs", ())),
+        **ints,
     )
 
 

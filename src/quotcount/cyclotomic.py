@@ -1,10 +1,11 @@
 """Exact arithmetic in Q[w]/(w^n - 1) for a fixed n-th root of unity w.
 
 Elements are dense length-n vectors of rationals; multiplication wraps
-exponents modulo n, so no representative ever leaves length n.  The ring
-has zero divisors, but every quantity the counting formulas divide by is
-a product of differences of distinct roots, which the engine either
-cancels structurally or inverts through :func:`inv_one_minus_root`.
+exponents modulo n, so no representative ever leaves length n, and a
+product by a root c*w^a is a rotation of the coefficients.  The ring has
+zero divisors, but the counting formulas never divide in it: their
+genus-0 weight is a product of root differences times n^(-r), and
+:func:`inv_one_minus_root` remains for field inverses outside the engine.
 Rationality of a finished sum is decided by reduction modulo the n-th
 cyclotomic polynomial (the minimal polynomial of a primitive root), the
 one place where the smaller field Q[w]/Phi_n enters.
@@ -26,7 +27,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd
+from operator import add, sub
 from typing import Iterable, Union
 
 from .errors import NotRationalError, OrderMismatchError
@@ -79,7 +82,7 @@ class Cyc:
         self._check(other)
         a, b, da, db = self._num, other._num, self._den, other._den
         if da == 1 and db == 1:
-            return Cyc._make(self.order, tuple(x + y for x, y in zip(a, b)), 1)
+            return Cyc._make(self.order, tuple(map(add, a, b)), 1)
         num = [x * db + y * da for x, y in zip(a, b)]
         return Cyc._make(self.order, *_reduced(num, da * db))
 
@@ -87,7 +90,7 @@ class Cyc:
         self._check(other)
         a, b, da, db = self._num, other._num, self._den, other._den
         if da == 1 and db == 1:
-            return Cyc._make(self.order, tuple(x - y for x, y in zip(a, b)), 1)
+            return Cyc._make(self.order, tuple(map(sub, a, b)), 1)
         num = [x * db - y * da for x, y in zip(a, b)]
         return Cyc._make(self.order, *_reduced(num, da * db))
 
@@ -100,19 +103,15 @@ class Cyc:
         self._check(other)
         n = self.order
         a, b = self._num, other._num
-        # Convolve from the sparser side; exponents wrap modulo n.
-        if sum(1 for c in a if c) > sum(1 for c in b if c):
+        # One rotated, scaled copy of the denser side per nonzero c*w^i of
+        # the sparser side: a product by a root costs a rotation, not n^2.
+        if a.count(0) < b.count(0):
             a, b = b, a
         out = [0] * n
-        for i, c in enumerate(a):
-            if not c:
-                continue
-            for j, d in enumerate(b):
-                if d:
-                    k = i + j
-                    if k >= n:
-                        k -= n
-                    out[k] += c * d
+        for i in compress(range(n), a):
+            c = a[i]
+            term = b[n - i:] + b[:n - i]
+            out = list(map(add, out, term if c == 1 else [c * x for x in term]))
         den = self._den * other._den
         if den == 1:
             return Cyc._make(n, tuple(out), 1)
@@ -145,6 +144,10 @@ class Cyc:
             return self
         num = self._num
         return Cyc._make(n, num[n - t:] + num[:n - t], self._den)
+
+    def times_difference(self, a: int, b: int) -> Cyc:
+        """Multiply by w^a - w^b: two rotations and a subtraction."""
+        return self.rotate(a) - self.rotate(b)
 
     def galois(self, u: int) -> Cyc:
         """Apply sigma_u: w -> w^u, a ring automorphism for u prime to n.
@@ -279,6 +282,19 @@ def _poly_div_exact(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ..
     return tuple(quot)
 
 
+def _phi_residue(x: Cyc) -> list[int]:
+    """x._den times the residue of x modulo the monic integer Phi_n, low degree first."""
+    phi = cyclotomic_polynomial(x.order)
+    deg = len(phi) - 1
+    rem = list(x._num)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            for j in range(deg):
+                rem[i - deg + j] -= c * phi[j]
+    return rem[:deg]
+
+
 def extract_rational(x: Cyc) -> Fraction:
     """Reduce x modulo Phi_n; return the constant if the residue is one.
 
@@ -287,32 +303,14 @@ def extract_rational(x: Cyc) -> Fraction:
     completed sum (or there is a bug upstream) and NotRationalError is
     raised.
     """
-    phi = cyclotomic_polynomial(x.order)
-    deg = len(phi) - 1
-    rem = [Fraction(c, x._den) for c in x._num]
-    for i in range(len(rem) - 1, deg - 1, -1):
-        c = rem[i]
-        if c:
-            rem[i] = Fraction(0)
-            for j in range(deg):
-                rem[i - deg + j] -= c * phi[j]
-    if any(rem[1:deg]):
+    rem = _phi_residue(x)
+    if any(rem[1:]):
         raise NotRationalError(f"residue modulo Phi_{x.order} has positive degree")
-    return rem[0] if rem else Fraction(0)
+    return Fraction(rem[0], x._den)
 
 
 def field_equal(x: Cyc, y: Cyc) -> bool:
     """Equality in the field Q[w]/Phi_n (representatives may differ)."""
     if x.order != y.order:
         raise OrderMismatchError("field comparison requires equal orders")
-    phi = cyclotomic_polynomial(x.order)
-    deg = len(phi) - 1
-    diff = x - y
-    rem = [Fraction(c, diff._den) for c in diff._num]
-    for i in range(len(rem) - 1, deg - 1, -1):
-        c = rem[i]
-        if c:
-            rem[i] = Fraction(0)
-            for j in range(deg):
-                rem[i - deg + j] -= c * phi[j]
-    return not any(rem[:deg])
+    return not any(_phi_residue(x - y))

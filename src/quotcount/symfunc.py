@@ -70,19 +70,15 @@ def elementary_prefix(tup: Sequence[Cyc], kmax: int) -> list[Cyc]:
 
 
 def homogeneous_prefix(tup: Sequence[Cyc], kmax: int) -> list[Cyc]:
-    """[h_0, ..., h_kmax] via h_m = sum_k (-1)^(k-1) e_k h_(m-k)."""
+    """[h_0, ..., h_kmax], adding one variable z at a time: h_m += z * h_(m-1)
+    for m ascending, so each step is a product by z (a rotation for a root)."""
     if not tup:
         raise ValueError("cannot infer the root order from an empty tuple")
     n = tup[0].order
-    r = len(tup)
-    es = elementary_prefix(tup, min(r, kmax))
-    hs = [one(n)]
-    for m in range(1, kmax + 1):
-        acc = zero(n)
-        for k in range(1, min(m, r) + 1):
-            term = es[k] * hs[m - k]
-            acc = acc + term if k % 2 == 1 else acc - term
-        hs.append(acc)
+    hs = [one(n)] + [zero(n)] * kmax
+    for z in tup:
+        for m in range(1, kmax + 1):
+            hs[m] = hs[m] + z * hs[m - 1]
     return hs
 
 
@@ -101,6 +97,4 @@ def complete_homogeneous(i: int, tup: Sequence[Cyc]) -> Cyc:
     """h_i of the tuple, defined for every i >= 0."""
     if i < 0:
         raise ValueError("index must be nonnegative")
-    if not tup:
-        raise ValueError("cannot infer the root order from an empty tuple")
     return homogeneous_prefix(tup, i)[i]

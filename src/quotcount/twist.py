@@ -231,11 +231,17 @@ def _projective_advisory(g: int, d: int, r: int, multidegree: Sequence[int]) -> 
     )
 
 
+def _check_genus_degree(g: int, d: int) -> None:
+    if g < 0 or d < 0:
+        raise ValueError("genus and degree must be nonnegative")
+
+
 def closed_form_projective(g: int, d: int, r: int, multidegree: Sequence[int]) -> VirtualCount:
     """prod l_i^(d*l_i-g+1) * (r+1-sum l_i)^g, the projective-target count.
 
     Pure arithmetic; nonzero only when sum of degrees is at most r.
     """
+    _check_genus_degree(g, d)
     multidegree = tuple(multidegree)
     if any(l < 1 for l in multidegree):
         raise ValueError("multidegree entries must be positive integers")
@@ -251,6 +257,7 @@ def closed_form_lg24(g: int, d: int, m1: int, m2: int) -> VirtualCount:
 
     Requires m1 + 2*m2 = 3*(d - g + 1) and d > 2g - 2.
     """
+    _check_genus_degree(g, d)
     if m1 < 0 or m2 < 0:
         raise ValueError("insertion exponents must be nonnegative")
     if d <= 2 * g - 2:
@@ -282,8 +289,9 @@ def tevelev_compare(g: int, d: int, r: int, l: int, t: Optional[int] = None) -> 
     Q = l^(d*l-g+1-t) * (r+1-l)^g with t = e_l/(r-1) conditions; the implied
     count is expected integral when 3 <= l <= r/2 + 1 and g + t >= 2.
     """
-    if r < 2:
-        raise ValueError("point conditions need r >= 2")
+    _check_genus_degree(g, d)
+    if r < 2 or l < 1:
+        raise ValueError("point conditions need r >= 2 and a section degree l >= 1")
     e_l = d * (r + 1 - l) + (1 - g) * (r - 1)
     quotient, remainder = divmod(e_l, r - 1)
     if remainder != 0 or quotient < 1:

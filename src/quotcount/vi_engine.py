@@ -11,10 +11,14 @@ The weight is computed division-free as
 
 which agrees with the classical n*x^(n-1)-over-differences expression
 because n*zeta^(n-1) is the product of the differences of zeta with all
-other n-th roots.  At genus 0 the reciprocal of each difference factor is
-taken through a certified elementary inverse, so the whole computation
-stays in exact cyclotomic arithmetic; the finished sum is reduced to a
-rational number and certified to be an integer.
+other n-th roots.  At genus 0 the classical expression inverts without
+a division:
+
+    1/J(I) = n^(-r) * w^(sum of I) * prod over i != j in I of (w^i - w^j).
+
+Each factor w^i - w^k is applied as two rotations and a subtraction, so
+the whole computation stays in exact cyclotomic arithmetic; the finished
+sum is reduced to a rational number and certified to be an integer.
 
 The sum is folded over the affine group I -> u*I + t (gcd(u, n) = 1)
 acting on exponent subsets.  In top degree a rotation (t) leaves each
@@ -35,14 +39,14 @@ pool; exact arithmetic makes the result identical for every worker count.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import symfunc
-from .cyclotomic import Cyc, extract_rational, inv_one_minus_root, root_of_unity, zero
+from .cyclotomic import Cyc, extract_rational, one, root_of_unity, zero
 from .errors import DimensionMismatchError, NonIntegralError
 from .symfunc import CHERN, SEGRE, Insertion
 
@@ -223,11 +227,13 @@ def _least_rotation(subset: Iterable[int], n: int) -> tuple[int, ...]:
     return tuple(sorted((a - shift) % n for a in subset))
 
 
-def affine_orbits(n: int, r: int) -> list[tuple[tuple[int, ...], int]]:
+@lru_cache(maxsize=64)
+def affine_orbits(n: int, r: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """One r-subset per orbit of I -> u*I + t (gcd(u, n) = 1), with the orbit's size.
 
     Each orbit is the union of the rotation orbits of the necklaces u*I;
-    its representative is the least of those necklaces.
+    its representative is the least of those necklaces.  Cached per
+    (n, r), so the result is a tuple.
     """
     found = necklaces(n, r)
     period = dict(found)
@@ -240,7 +246,7 @@ def affine_orbits(n: int, r: int) -> list[tuple[tuple[int, ...], int]]:
         images = {_least_rotation([u * a % n for a in subset], n) for u in group}
         seen.update(images)
         reps.append((subset, sum(period[m] for m in images)))
-    return reps
+    return tuple(reps)
 
 
 # -- summand assembly -------------------------------------------------------
@@ -258,62 +264,45 @@ class _Evaluator:
     """Per-process machinery turning a subset into its summand."""
 
     def __init__(self, spec: GrassmannSpec, cherns, segres):
-        n, r, g = spec.n, spec.r, spec.g
-        self.n, self.r = n, r
-        self.gm1 = g - 1
+        self.n, self.r = spec.n, spec.r
+        self.gm1 = spec.g - 1
         self.cherns, self.segres = cherns, segres
-        self.max_e = max((i for i, _ in cherns), default=0)
-        self.max_h = max((i for i, _ in segres), default=0)
-        self.roots = [root_of_unity(n, a) for a in range(n)]
-        self.one = root_of_unity(n, 0)
-        # Difference table zeta_i - zeta_k, and its field inverses at genus 0.
-        self.diff = [[self.roots[i] - self.roots[k] for k in range(n)] for i in range(n)]
-        if g == 0:
-            inv = [None] + [inv_one_minus_root(n, m) for m in range(1, n)]
-            # (zeta_i - zeta_k)^(-1) = -w^(n-k) * (1 - w^(i-k))^(-1)
-            self.diff_inv = [
-                [
-                    -(inv[(i - k) % n].rotate((n - k) % n)) if i != k else None
-                    for k in range(n)
-                ]
-                for i in range(n)
-            ]
 
     def insertion_product(self, tup: list[Cyc]) -> Cyc:
-        acc = self.one
-        if self.cherns:
-            es = symfunc.elementary_prefix(tup, self.max_e)
-            for i, exp in self.cherns:
-                acc = acc * (es[i] if exp == 1 else es[i] ** exp)
-        if self.segres:
-            hs = symfunc.homogeneous_prefix(tup, self.max_h)
-            for i, exp in self.segres:
-                acc = acc * (hs[i] if exp == 1 else hs[i] ** exp)
+        acc = one(self.n)
+        for powers, prefix in ((self.cherns, symfunc.elementary_prefix),
+                               (self.segres, symfunc.homogeneous_prefix)):
+            if powers:
+                # powers are (index, exponent) pairs sorted by index
+                values = prefix(tup, powers[-1][0])
+                for i, exp in powers:
+                    acc = acc * (values[i] if exp == 1 else values[i] ** exp)
         return acc
 
     def j_factor(self, subset: Sequence[int]) -> Cyc:
         inside = set(subset)
-        acc = self.one
+        acc = one(self.n)
         for i in subset:
-            row = self.diff[i]
             for k in range(self.n):
                 if k not in inside:
-                    acc = acc * row[k]
+                    acc = acc.times_difference(i, k)
         return acc
 
     def j_inverse(self, subset: Sequence[int]) -> Cyc:
-        inside = set(subset)
-        acc = self.one
+        """n^(-r) * w^(sum of I) * prod over i != j in I of (w^i - w^j).
+
+        This is 1/J in the field: J = prod over i in I of n*zeta_i^(n-1),
+        over the product of the differences of the chosen roots.
+        """
+        acc = root_of_unity(self.n, sum(subset))
         for i in subset:
-            row = self.diff_inv[i]
-            for k in range(self.n):
-                if k not in inside:
-                    acc = acc * row[k]
-        return acc
+            for j in subset:
+                if i != j:
+                    acc = acc.times_difference(i, j)
+        return acc.scale(Fraction(1, self.n ** self.r))
 
     def summand(self, subset: Sequence[int]) -> Cyc:
-        tup = [self.roots[a] for a in subset]
-        acc = self.insertion_product(tup)
+        acc = self.insertion_product([root_of_unity(self.n, a) for a in subset])
         if self.gm1 == 0:
             return acc
         if self.gm1 < 0:
@@ -391,6 +380,8 @@ def _folded_total(
     reps = affine_orbits(n, spec.r)
     jobs = [(spec, cherns, segres, reps[w::workers]) for w in range(min(workers, len(reps)))]
     if len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             parts = list(pool.map(_weighted_sum, jobs))
     else:

@@ -4,6 +4,8 @@ import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from quotcount.cli import (
     EXIT_INTERNAL,
@@ -211,6 +213,94 @@ def test_batch_survives_unknown_insertion_kind(tmp_path):
     assert rows[2]["summary"] is True
     assert rows[2]["records"] == 2 and rows[2]["ok"] == 1 and rows[2]["validation_errors"] == 1
     assert code == EXIT_VALIDATION
+
+
+def run_batch_lines(tmp_path, lines):
+    path = tmp_path / "jobs.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    buffer = io.StringIO()
+    code = run_batch(str(path), out=buffer)
+    return code, [json.loads(line) for line in buffer.getvalue().strip().splitlines()]
+
+
+def test_batch_refuses_non_integer_fields(tmp_path):
+    good = '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:3"}'
+    bad = [
+        '{"mode": "grassmannian", "g": 1.7, "d": 1, "r": 2, "n": 3, "ins": "a1:3"}',
+        '{"mode": "grassmannian", "g": true, "d": 1, "r": 2, "n": 3, "ins": "a1:3"}',
+        '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": "3", "ins": "a1:3"}',
+        '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, '
+        '"insertions": [["chern", 2, -4], ["chern", 1, 3]]}',
+        '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "insertions": [["chern", 1, 3.0]]}',
+        '{"mode": "tevelev", "g": 1, "d": 2, "r": 5, "multidegree": [2.0]}',
+        '{"mode": "closed-form", "variant": "lg24", "g": 0, "d": 1, "m1": 6, "m2": false}',
+    ]
+    code, rows = run_batch_lines(tmp_path, bad + [good])
+    assert len(rows) == len(bad) + 2
+    for row in rows[:len(bad)]:
+        assert row["ok"] is False
+        assert row["error"]["type"] == "ValueError"
+        assert row["error"]["exit"] == EXIT_VALIDATION
+    assert rows[-2]["ok"] is True and rows[-2]["value"]["exact"] == "3"
+    summary = rows[-1]
+    assert summary["summary"] is True
+    assert summary["records"] == len(bad) + 1 and summary["validation_errors"] == len(bad)
+    assert code == EXIT_VALIDATION
+
+
+def test_batch_tevelev_zero_degree_is_a_validation_error(tmp_path):
+    code, rows = run_batch_lines(tmp_path, [
+        '{"mode": "tevelev", "g": 1, "d": 2, "r": 5, "multidegree": [0]}',
+        '{"mode": "closed-form", "variant": "projective", "g": -1, "d": 1, "r": 1, "multidegree": [2]}',
+    ])
+    assert len(rows) == 3
+    for row in rows[:2]:
+        assert row["ok"] is False
+        assert row["error"]["type"] == "ValueError"
+        assert row["error"]["exit"] == EXIT_VALIDATION
+    assert rows[-1]["summary"] is True and rows[-1]["validation_errors"] == 2
+    assert code == EXIT_VALIDATION
+
+
+def test_division_by_zero_past_validation_is_internal(monkeypatch):
+    from quotcount import twist
+
+    def broken(*args):
+        raise ZeroDivisionError("Fraction(1, 0)")
+
+    monkeypatch.setattr(twist, "closed_form_lg24", broken)
+    result = run(JobRequest(mode="closed-form", variant="lg24", g=0, d=1, m1=6, m2=0))
+    assert result.ok is False
+    assert result.error["type"] == "ZeroDivisionError"
+    assert result.error["exit"] == EXIT_INTERNAL
+
+
+small_values = st.one_of(
+    st.integers(min_value=-2, max_value=5), st.booleans(), st.none(),
+    st.floats(min_value=-2, max_value=5), st.sampled_from(["3", "", "x"]),
+)
+batch_records = st.dictionaries(
+    st.sampled_from(["mode", "g", "d", "r", "n", "multidegree", "ins", "insertions",
+                     "path", "variant", "b_pairs", "t", "m1", "m2", "bogus"]),
+    st.one_of(
+        small_values,
+        st.sampled_from(["grassmannian", "hypersurface", "complete-intersection",
+                         "closed-form", "duality-check", "b-reduce", "tevelev",
+                         "oracle-check", "lg24", "both", "a1:3", "s2:1,a1:1", "a0"]),
+        st.lists(small_values, max_size=3),
+        st.lists(st.tuples(st.sampled_from(["chern", "segre", "x"]), small_values,
+                           small_values), max_size=2),
+    ),
+)
+
+
+@given(st.lists(st.one_of(batch_records.map(json.dumps), st.just("not json")), max_size=5))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_batch_fuzz_gives_one_record_per_line(tmp_path, lines):
+    code, rows = run_batch_lines(tmp_path, lines)
+    assert len(rows) == len(lines) + 1
+    assert rows[-1]["summary"] is True and rows[-1]["records"] == len(lines)
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_INTERNAL)
 
 
 def test_batch_empty_file(tmp_path):

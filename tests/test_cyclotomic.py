@@ -237,6 +237,25 @@ def test_rotate_matches_root_multiplication():
         assert x.rotate(t) == x * root_of_unity(6, t)
 
 
+@given(cyc_elements(), st.integers(min_value=-30, max_value=30), small_rationals)
+@settings(max_examples=60, deadline=None)
+def test_monomial_product_matches_dense_convolution(x, a, c):
+    # c*w^a is one rotation plus a scale; the denominators of x and c meet.
+    monomial = root_of_unity(x.order, a).scale(c)
+    assert x * monomial == naive_mul(x, monomial)
+    assert monomial * x == naive_mul(x, monomial)
+
+
+@given(cyc_elements(), st.integers(min_value=-30, max_value=30),
+       st.integers(min_value=-30, max_value=30))
+@settings(max_examples=60, deadline=None)
+def test_root_difference_product_matches_dense_convolution(x, a, b):
+    n = x.order
+    difference = root_of_unity(n, a) - root_of_unity(n, b)
+    assert x.times_difference(a, b) == naive_mul(x, difference)
+    assert x * difference == naive_mul(x, difference)
+
+
 @st.composite
 def cyc_pairs_with_unit(draw):
     n = draw(st.integers(min_value=1, max_value=12))

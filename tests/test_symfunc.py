@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quotcount.cyclotomic import field_equal, one, root_of_unity, zero
+from quotcount.cyclotomic import Cyc, field_equal, one, root_of_unity, zero
 from quotcount.symfunc import (
     Insertion,
     chern,
     complete_homogeneous,
     elementary,
+    elementary_prefix,
+    homogeneous_prefix,
     monomial,
     segre,
     weighted_degree,
@@ -106,6 +108,25 @@ def test_homogeneous_matches_brute_force():
             tup = roots(n, exps)
             for i in range(5):
                 assert complete_homogeneous(i, tup) == brute_homogeneous(i, tup)
+
+
+@st.composite
+def general_tuples(draw):
+    # Dense elements with denominators, not only roots of unity.
+    n = draw(st.integers(min_value=1, max_value=6))
+    size = draw(st.integers(min_value=1, max_value=3))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return [Cyc(n, draw(st.lists(coeffs, min_size=n, max_size=n))) for _ in range(size)]
+
+
+@given(general_tuples())
+@settings(max_examples=40, deadline=None)
+def test_prefixes_match_brute_force_on_general_elements(tup):
+    hs = homogeneous_prefix(tup, 4)
+    es = elementary_prefix(tup, 4)
+    for i in range(5):
+        assert hs[i] == brute_homogeneous(i, tup), i
+        assert es[i] == brute_elementary(i, tup), i
 
 
 @given(root_tuples(), st.permutations(range(4)))

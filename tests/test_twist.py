@@ -256,6 +256,19 @@ def test_tevelev_guards():
         tevelev_compare(0, 2, 4, 3)  # e_l = 2*2 + 3 = 7, not divisible by 3
 
 
+def test_closed_forms_refuse_what_they_would_divide_by():
+    # Q has the factor l^(d*l-g+1-t); l = 0 or a negative genus divides by zero.
+    for l in (0, -1):
+        with pytest.raises(ValueError):
+            tevelev_compare(1, 2, 5, l)
+    with pytest.raises(ValueError):
+        tevelev_compare(-3, 2, 5, 6)
+    with pytest.raises(ValueError):
+        closed_form_projective(-1, 1, 1, (2,))
+    with pytest.raises(ValueError):
+        closed_form_lg24(-1, 1, 6, 0)
+
+
 def test_advisor_bounds():
     base = GrassmannSpec(2, 5, 1, 2)
     # hypersurface: strict bound i < n - l.

@@ -121,6 +121,13 @@ def test_folded_total_equals_plain_subset_sum_in_the_ring():
     assert duality_check(duality_spec, duality_ins).equal
 
 
+def test_affine_orbits_are_cached_as_a_bounded_tuple():
+    reps = affine_orbits(12, 4)
+    assert isinstance(reps, tuple)
+    assert affine_orbits(12, 4) is reps
+    assert isinstance(affine_orbits.cache_info().maxsize, int)
+
+
 def test_summands_reported_per_affine_orbit():
     # G(5,20): 15504 subsets, 776 rotation orbits, 120 affine orbits.
     assert len(necklaces(20, 5)) == 776
@@ -276,17 +283,62 @@ def test_insertion_order_is_irrelevant():
 
 def test_summand_rotation_invariance():
     # Adding 1 mod n to every exponent leaves each summand unchanged
-    # exactly (not just in the field) in top degree.
+    # exactly (not just in the field) in top degree, and a unit u maps it
+    # by sigma_u exactly: the two identities the orbit fold relies on.
     for spec, ins in (
         (GrassmannSpec(2, 5, 1, 1), hyperplanes(5)),
         (GrassmannSpec(2, 4, 0, 1), hyperplanes(8)),
         (GrassmannSpec(2, 4, 2, 1), monomial((chern(2), 2))),
         (GrassmannSpec(2, 4, 1, 1), monomial((segre(2), 2))),
+        (GrassmannSpec(2, 5, 0, 0), monomial((segre(3), 2))),
+        (GrassmannSpec(3, 7, 0, 1), monomial((segre(2), 5), (segre(3), 3))),
+        (GrassmannSpec(3, 8, 0, 1), monomial((chern(1), 3), (segre(2), 4), (chern(3), 3), (segre(3), 1))),
+        (GrassmannSpec(4, 9, 0, 0), monomial((chern(2), 4), (segre(3), 4))),
+        (GrassmannSpec(2, 9, 0, 2), monomial((chern(1), 22), (segre(5), 2))),
+        (GrassmannSpec(3, 9, 2, 3), monomial((chern(1), 3), (segre(3), 2))),
     ):
+        n = spec.n
         ev = _Evaluator(spec, *_grouped(ins))
-        for subset in iter_colex(spec.n, spec.r):
-            rotated = tuple(sorted((a + 1) % spec.n for a in subset))
-            assert ev.summand(rotated) == ev.summand(subset), (spec, subset)
+        units = [u for u in range(2, n) if gcd(u, n) == 1]
+        for subset in iter_colex(n, spec.r):
+            value = ev.summand(subset)
+            rotated = tuple(sorted((a + 1) % n for a in subset))
+            assert ev.summand(rotated) == value, (spec, subset)
+            for u in units:
+                image = tuple(sorted(u * a % n for a in subset))
+                assert ev.summand(image) == value.galois(u), (spec, subset, u)
+
+
+def test_genus0_weight_inverts_j_in_the_field():
+    for n in range(2, 9):
+        for r in range(1, n + 1):
+            ev = _Evaluator(GrassmannSpec(r, n, 0, 0), (), ())
+            for subset in combinations(range(n), r):
+                product = ev.j_inverse(subset) * ev.j_factor(subset)
+                assert field_equal(product, one(n)), (n, subset)
+
+
+def test_genus0_engine_matches_quantum_pieri_oracle():
+    from quotcount.qh_oracle import fixed_domain_count_g0
+
+    rng = random.Random(20250601)
+    checked = 0
+    while checked < 100:
+        n = rng.randint(2, 9)
+        r = rng.randint(1, n - 1)
+        d = rng.randint(0, 2)
+        left = d * n + r * (n - r)
+        if left > 24:
+            continue
+        ins = []
+        while left:
+            i = rng.randint(1, min(left, 6))
+            kind = segre if i > r or rng.random() < 0.5 else chern
+            ins.append(kind(i))
+            left -= i
+        engine = vi_integral(GrassmannSpec(r, n, 0, d), ins).value
+        assert engine == fixed_domain_count_g0(r, n, d, ins), (r, n, d, ins)
+        checked += 1
 
 
 def test_orbit_bookkeeping_on_g24():
