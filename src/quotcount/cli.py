@@ -44,6 +44,8 @@ MODES = (
     "tevelev",
     "oracle-check",
 )
+# Allowed values of the string-valued request fields; the first is the default.
+CHOICES = {"path": ("closed", "phi", "both"), "variant": ("projective", "lg24")}
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -185,6 +187,8 @@ def run(req: JobRequest) -> JobResult:
     result = JobResult(mode=req.mode, ok=True)
     started = time.perf_counter()
     try:
+        if req.workers < 1:
+            raise ValueError("workers must be a positive integer")
         insertions = _expand(req.insertions)
         if req.mode == "grassmannian":
             spec = GrassmannSpec(req.r, _require_n(req), req.g, req.d)
@@ -193,11 +197,8 @@ def run(req: JobRequest) -> JobResult:
                 "insertion_degree": weighted_degree(insertions),
             }
             result.stats["subsets"] = spec.subset_count
-            if req.workers > 1:
-                count = vi_engine.vi_integral_parallel(spec, insertions, req.workers)
-            else:
-                count = vi_engine.vi_integral(spec, insertions)
-            result.stats["summands"] = count.summands
+            count = vi_engine.vi_integral(spec, insertions, req.workers)
+            result.stats.update(summands=count.summands, workers=count.workers)
             _count_fields(result, count)
 
         elif req.mode in ("hypersurface", "complete-intersection"):
@@ -448,14 +449,17 @@ def _request_from_record(record: dict) -> JobRequest:
     ints = {name: _strict_int(record[name], name) for name in ("g", "d", "r", "workers") if name in record}
     ints.update((name, _strict_int(record[name], name))
                 for name in ("n", "t", "m1", "m2") if record.get(name) is not None)
+    strings = {name: record.get(name, allowed[0]) for name, allowed in CHOICES.items()}
+    for name, value in strings.items():
+        if value not in CHOICES[name]:
+            raise ValueError(f"{name} must be one of {CHOICES[name]}, got {value!r}")
     return JobRequest(
         mode=record["mode"],
         multidegree=tuple(_strict_int(x, "multidegree") for x in record.get("multidegree", ())),
         insertions=insertions,
-        path=record.get("path", "closed"),
-        variant=record.get("variant", "projective"),
         b_pairs=tuple(_strict_int(x, "b_pairs") for x in record.get("b_pairs", ())),
         **ints,
+        **strings,
     )
 
 
@@ -533,8 +537,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ins", default="",
                         help="insertions, e.g. a1:3,a2:1 (Chern) or s2:4 (Segre)")
     parser.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                        help="worker processes for the subset sum")
-    parser.add_argument("--path", choices=("closed", "phi", "both"), default="closed",
+                        help="upper bound on the worker processes for the subset sum")
+    parser.add_argument("--path", choices=CHOICES["path"], default="closed",
                         help="hypersurface evaluation path")
     parser.add_argument("--format", dest="fmt", choices=("json", "text"), default="text")
 
@@ -550,8 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(mode, help=f"run a {mode} computation")
         _add_common(p)
         if mode == "closed-form":
-            p.add_argument("--variant", choices=("projective", "lg24"),
-                           default="projective")
+            p.add_argument("--variant", choices=CHOICES["variant"], default="projective")
             p.add_argument("--m1", type=int, help="first-Chern exponent (lg24)")
             p.add_argument("--m2", type=int, help="second-Chern exponent (lg24)")
         if mode == "b-reduce":

@@ -20,6 +20,7 @@ coefficients, which the multiplication asserts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import DimensionMismatchError, QuotcountError
@@ -47,7 +48,9 @@ def _strip_zeros(padded: Iterable[int]) -> tuple[int, ...]:
     return tuple(p for p in padded if p)
 
 
-def _vertical_strips(padded: tuple[int, ...], i: int) -> list[tuple[int, ...]]:
+# Pieri steps revisit the same shapes many times; these caches are bounded.
+@lru_cache(maxsize=4096)
+def _vertical_strips(padded: tuple[int, ...], i: int) -> tuple[tuple[int, ...], ...]:
     # All ways of adding i boxes, no two in the same row.
     r = len(padded)
     out: list[tuple[int, ...]] = []
@@ -68,10 +71,11 @@ def _vertical_strips(padded: tuple[int, ...], i: int) -> list[tuple[int, ...]]:
             acc.pop()
 
     rec(0, i, 10**9, [])
-    return out
+    return tuple(out)
 
 
-def _horizontal_strips(padded: tuple[int, ...], i: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=4096)
+def _horizontal_strips(padded: tuple[int, ...], i: int) -> tuple[tuple[int, ...], ...]:
     # All ways of adding i boxes, no two in the same column:
     # row j may grow up to the length of row j-1 in the old shape.
     r = len(padded)
@@ -89,9 +93,10 @@ def _horizontal_strips(padded: tuple[int, ...], i: int) -> list[tuple[int, ...]]
             acc.pop()
 
     rec(0, i, padded[0] + i, [])
-    return out
+    return tuple(out)
 
 
+@lru_cache(maxsize=16384)
 def _rim_hook_reduce(padded: tuple[int, ...], r: int, n: int):
     """Bring a shape back into the box, one n-hook at a time.
 

@@ -38,7 +38,6 @@ from .vi_engine import (
     SEGRE_ADVISORY,
     VirtualCount,
     vi_integral,
-    vi_integral_parallel,
 )
 
 LARGE_D_NOTE = (
@@ -93,12 +92,6 @@ def _boost(spec: ProblemSpec) -> tuple[GrassmannSpec, tuple[Insertion, ...]]:
     return b, spec.insertions + (chern(1),) * extra
 
 
-def _engine_value(base: GrassmannSpec, insertions: Sequence[Insertion], workers: int) -> Fraction:
-    if workers > 1:
-        return vi_integral_parallel(base, insertions, workers).value
-    return vi_integral(base, insertions).value
-
-
 def _certified(value: Fraction, advisory: Advisory) -> VirtualCount:
     if value.denominator != 1:
         raise NonIntegralError(f"twisted count came out non-integral: {value}")
@@ -122,7 +115,7 @@ def complete_intersection_integral(spec: ProblemSpec, workers: int = 1) -> Virtu
         prefactor *= Fraction(l) ** (b.d * l - b.g + 1)
     prefactor *= Fraction(b.n - sum(spec.multidegree), b.n) ** b.g
     base, boosted = _boost(spec)
-    raw = _engine_value(base, boosted, workers)
+    raw = vi_integral(base, boosted, workers).value
     return _certified(prefactor * raw, enumerativity_advisor(spec))
 
 
@@ -146,7 +139,7 @@ def hypersurface_integral_via_phi_expansion(spec: ProblemSpec, workers: int = 1)
         comb(b.g, s) * Fraction(-l, b.n) ** s for s in range(min(b.d, b.g) + 1)
     )
     base, boosted = _boost(spec)
-    raw = _engine_value(base, boosted, workers)
+    raw = vi_integral(base, boosted, workers).value
     value = scalar * raw
     return VirtualCount(value, value.denominator == 1, enumerativity_advisor(spec))
 
@@ -161,7 +154,7 @@ def hypersurface_both_paths(spec: ProblemSpec, workers: int = 1) -> tuple[Virtua
     (l,) = spec.multidegree
     k = b.d * l - b.g + 1
     base, boosted = _boost(spec)
-    raw = _engine_value(base, boosted, workers)
+    raw = vi_integral(base, boosted, workers).value
     advisory = enumerativity_advisor(spec)
     closed = _certified(Fraction(b.n - l, b.n) ** b.g * Fraction(l) ** k * raw, advisory)
     scalar = Fraction(l) ** k * sum(
@@ -210,7 +203,7 @@ def reduce_b_classes(word: BClassWord, base: GrassmannSpec, workers: int = 1) ->
     if len(set(word.pair_indices)) < s or s > base.d:
         return VirtualCount(Fraction(0), True, B_WORD_ADVISORY)
     boosted = word.monomial + (chern(1),) * s
-    raw = _engine_value(base, boosted, workers)
+    raw = vi_integral(base, boosted, workers).value
     return _certified(raw / Fraction(base.n) ** s, B_WORD_ADVISORY)
 
 

@@ -31,14 +31,16 @@ the units of Z/n turns that weighted sum S into the full subset sum,
 
     sum over I of summand(I) = (1/phi(n)) * sum over u of sigma_u(S),
 
-as an element of Q[w]/(w^n - 1), before any reduction modulo Phi_n.  The
-multi-process evaluator splits the representatives across a process
-pool; exact arithmetic makes the result identical for every worker count.
+as an element of Q[w]/(w^n - 1), before any reduction modulo Phi_n.  A
+process pool takes the representatives only when each of its processes
+gets SUMMANDS_PER_WORKER or more (`pool_size`); exact arithmetic makes
+the result identical for every worker count.
 """
 
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -85,6 +87,8 @@ class VirtualCount:
     # Summands the engine evaluated (one per affine orbit); a work
     # statistic, not part of the value.
     summands: Optional[int] = field(default=None, compare=False)
+    # Processes the sum ran on; depends on the host, not part of the value.
+    workers: Optional[int] = field(default=None, compare=False)
 
     def as_integer(self) -> int:
         if not self.is_integer:
@@ -336,7 +340,8 @@ def _sign(spec: GrassmannSpec) -> int:
 
 
 def _finalize(
-    spec: GrassmannSpec, total: Cyc, insertions: Sequence[Insertion], summands: Optional[int] = None
+    spec: GrassmannSpec, total: Cyc, insertions: Sequence[Insertion],
+    summands: Optional[int] = None, workers: Optional[int] = None,
 ) -> VirtualCount:
     value = extract_rational(total) * _sign(spec)
     if value.denominator != 1:
@@ -346,7 +351,7 @@ def _finalize(
         if any(ins.kind == SEGRE for ins in insertions)
         else PLAIN_TARGET_ADVISORY
     )
-    return VirtualCount(value, True, advisory, summands)
+    return VirtualCount(value, True, advisory, summands, workers)
 
 
 def j_factor(spec: GrassmannSpec, index: SubsetIndex) -> Cyc:
@@ -396,15 +401,27 @@ def _folded_total(
     return total.scale(Fraction(1, len(group))), len(reps)
 
 
-def _count(spec: GrassmannSpec, insertions: Iterable[Insertion], workers: int) -> VirtualCount:
+# On a 2-CPU host a 2-process pool lost at 100-120 genus-1 representatives
+# (G(4,24), G(5,20)) and won from about 250 (G(6,21), G(5,24)).
+SUMMANDS_PER_WORKER = 128
+
+
+def pool_size(workers: int, summands: int, cpus: int) -> int:
+    """Processes for a sum of `summands` terms: at most `workers`, `cpus` and
+    one per SUMMANDS_PER_WORKER summands, and at least one."""
+    return max(1, min(workers, cpus, summands // SUMMANDS_PER_WORKER))
+
+
+def vi_integral(spec: GrassmannSpec, insertions: Iterable[Insertion], workers: int = 1) -> VirtualCount:
+    """The counting sum over all C(n, r) root subsets, on at most `workers` processes."""
+    if workers < 1:
+        raise ValueError("workers must be a positive integer")
     insertions = _validate(spec, insertions)
-    total, summands = _folded_total(spec, insertions, workers)
-    return _finalize(spec, total, insertions, summands)
-
-
-def vi_integral(spec: GrassmannSpec, insertions: Iterable[Insertion]) -> VirtualCount:
-    """The counting sum over all C(n, r) root subsets, in this process."""
-    return _count(spec, insertions, 1)
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    used = pool_size(workers, len(affine_orbits(spec.n, spec.r)), cpus)
+    total, summands = _folded_total(spec, insertions, used)
+    return _finalize(spec, total, insertions, summands, used)
 
 
 def vi_integral_orbit_reduced(spec: GrassmannSpec, insertions: Iterable[Insertion]) -> VirtualCount:
@@ -430,14 +447,8 @@ def vi_integral_orbit_reduced(spec: GrassmannSpec, insertions: Iterable[Insertio
 def vi_integral_parallel(
     spec: GrassmannSpec, insertions: Iterable[Insertion], workers: int
 ) -> VirtualCount:
-    """vi_integral with the orbit representatives split across `workers` processes.
-
-    Exact arithmetic is associative and commutative, so the partial sums
-    recombine to the identical value for every worker count.
-    """
-    if workers < 1:
-        raise ValueError("workers must be a positive integer")
-    return _count(spec, insertions, workers)
+    """vi_integral with a required worker bound (the older name)."""
+    return vi_integral(spec, insertions, workers)
 
 
 @dataclass(frozen=True)

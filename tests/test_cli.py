@@ -90,6 +90,7 @@ def test_grassmannian_value_round_trip(capsys):
     }
     assert record["stats"]["subsets"] == 3
     assert record["stats"]["summands"] == 1
+    assert record["stats"]["workers"] == 1
 
 
 def test_duality_mode(capsys):
@@ -241,6 +242,46 @@ def test_batch_refuses_non_integer_fields(tmp_path):
         assert row["ok"] is False
         assert row["error"]["type"] == "ValueError"
         assert row["error"]["exit"] == EXIT_VALIDATION
+    assert rows[-2]["ok"] is True and rows[-2]["value"]["exact"] == "3"
+    summary = rows[-1]
+    assert summary["summary"] is True
+    assert summary["records"] == len(bad) + 1 and summary["validation_errors"] == len(bad)
+    assert code == EXIT_VALIDATION
+
+
+def test_cli_refuses_fewer_than_one_worker(capsys):
+    for workers in ("0", "-5"):
+        code, out = run_cli(
+            capsys, "grassmannian", "--g", "1", "--d", "1", "--r", "2", "--n", "3",
+            "--ins", "a1:3", "--format", "json", "--workers", workers,
+        )
+        assert code == EXIT_VALIDATION
+        record = last_json(out)
+        assert record["ok"] is False and record["mode"] == "grassmannian"
+        assert record["error"] == {
+            "type": "ValueError", "message": "workers must be a positive integer",
+            "exit": EXIT_VALIDATION,
+        }
+
+
+def test_batch_refuses_bad_workers_path_and_variant(tmp_path):
+    good = '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:3"}'
+    bad = [
+        '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:3", "workers": 0}',
+        '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:3", "workers": -5}',
+        '{"mode": "closed-form", "g": 0, "d": 1, "r": 1, "multidegree": [2], "workers": 0}',
+        '{"mode": "hypersurface", "g": 1, "d": 2, "r": 2, "n": 4, "multidegree": [1], '
+        '"ins": "a1:4,a2:1", "path": "bogus"}',
+        '{"mode": "closed-form", "variant": "nonsense", "g": 0, "d": 1, "r": 1, "multidegree": [2]}',
+        '{"mode": "closed-form", "variant": null, "g": 0, "d": 1, "r": 1, "multidegree": [2]}',
+    ]
+    code, rows = run_batch_lines(tmp_path, bad + [good])
+    assert len(rows) == len(bad) + 2
+    for row in rows[:len(bad)]:
+        assert row["ok"] is False and "value" not in row and "paths" not in row
+        assert row["error"]["type"] == "ValueError"
+        assert row["error"]["exit"] == EXIT_VALIDATION
+    assert "path" in rows[3]["error"]["message"] and "variant" in rows[4]["error"]["message"]
     assert rows[-2]["ok"] is True and rows[-2]["value"]["exact"] == "3"
     summary = rows[-1]
     assert summary["summary"] is True

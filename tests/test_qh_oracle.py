@@ -6,6 +6,9 @@ from quotcount.errors import DimensionMismatchError
 from quotcount.qh_oracle import (
     Partition,
     QClass,
+    _horizontal_strips,
+    _rim_hook_reduce,
+    _vertical_strips,
     fixed_domain_count_g0,
     pieri_multiply,
     pieri_multiply_segre,
@@ -117,3 +120,29 @@ def test_segre_insertions_cross_check_engine():
         engine = vi_integral(GrassmannSpec(r, n, 0, d), ins).value
         oracle = fixed_domain_count_g0(r, n, d, ins)
         assert engine == oracle, (r, n, d, ins)
+
+
+def test_memoised_oracle_keeps_its_values():
+    # Values computed by the oracle before its strip and rim-hook helpers
+    # were memoised; each is checked from cold caches and again warm.
+    cases = [
+        (2, 4, 1, monomial((chern(1), 8)), 8),
+        (2, 5, 2, monomial((chern(1), 10), (chern(2), 3)), 34),
+        (3, 6, 1, monomial((chern(1), 6), (chern(2), 3), (chern(3), 1)), 43),
+        (3, 7, 1, monomial((segre(2), 4), (segre(3), 2), (segre(1), 5)), 507),
+        (2, 6, 2, monomial((segre(4), 2), (chern(1), 8), (chern(2), 2)), 14),
+        (4, 8, 1, monomial((chern(1), 12), (chern(4), 2), (segre(2), 2)), 6040),
+    ]
+    helpers = (_vertical_strips, _horizontal_strips, _rim_hook_reduce)
+    for helper in helpers:
+        helper.cache_clear()
+    for _ in range(2):
+        for r, n, d, ins, expected in cases:
+            assert fixed_domain_count_g0(r, n, d, ins) == expected, (r, n, d)
+    for helper in helpers:
+        info = helper.cache_info()
+        assert info.maxsize is not None and info.hits > 0
+    # cached results are shared, so they must be immutable
+    for strips in (_vertical_strips, _horizontal_strips):
+        grown = strips((1, 0), 1)
+        assert isinstance(grown, tuple) and set(grown) == {(2, 0), (1, 1)}

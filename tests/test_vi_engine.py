@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import random
 from itertools import combinations
 from math import comb, gcd
@@ -12,6 +13,7 @@ from quotcount.cyclotomic import field_equal, inv_one_minus_root, one, root_of_u
 from quotcount.errors import DimensionMismatchError
 from quotcount.symfunc import chern, monomial, segre
 from quotcount.vi_engine import (
+    SUMMANDS_PER_WORKER,
     Enumerativity,
     GrassmannSpec,
     SubsetIndex,
@@ -24,6 +26,7 @@ from quotcount.vi_engine import (
     iter_colex,
     j_factor,
     necklaces,
+    pool_size,
     subset_rank_colex,
     subset_unrank_colex,
     vi_integral,
@@ -401,6 +404,58 @@ def test_parallel_matches_serial_on_random_specs(n, data):
     reference = vi_integral_orbit_reduced(spec, ins).value
     for workers in (1, 2, 3):
         assert vi_integral_parallel(spec, ins, workers).value == reference, workers
+    # These sums are too small for the policy to start a pool; drive one directly.
+    folded, _ = _folded_total(spec, ins, 1)
+    for workers in (2, 3):
+        assert _folded_total(spec, ins, workers)[0] == folded, workers
+
+
+def test_pool_size_policy_at_its_boundaries():
+    k = SUMMANDS_PER_WORKER
+    assert pool_size(8, 0, 8) == 1
+    assert pool_size(8, k - 1, 8) == 1  # below the threshold
+    assert pool_size(8, 2 * k - 1, 8) == 1
+    assert pool_size(8, 2 * k, 8) == 2  # at it
+    assert pool_size(8, 5 * k + 3, 8) == 5  # above it
+    assert pool_size(8, 100 * k, 3) == 3  # capped by the CPUs
+    assert pool_size(4, 100 * k, 8) == 4  # capped by the request
+    assert pool_size(1, 100 * k, 8) == 1
+
+
+def test_small_sum_with_many_workers_starts_no_process(monkeypatch):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    count = vi_integral(GrassmannSpec(5, 20, 1, 1), hyperplanes(20), 8)
+    assert count.value == 275923203690000
+    assert (count.summands, count.workers) == (120, 1)
+
+
+def test_engine_caps_workers_at_the_cpus_it_may_use(monkeypatch):
+    spec, ins = GrassmannSpec(5, 24, 1, 1), hyperplanes(24)
+    assert len(affine_orbits(24, 5)) // SUMMANDS_PER_WORKER == 2
+    serial = vi_integral(spec, ins)
+    assert serial.workers == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    pooled = vi_integral(spec, ins, 8)
+    assert pooled.workers == 2 and pooled.value == serial.value
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert vi_integral(spec, ins, 8).workers == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert vi_integral(spec, ins, 8).workers == 1
+
+
+def test_engine_refuses_fewer_than_one_worker():
+    spec, ins = GrassmannSpec(2, 3, 1, 1), hyperplanes(3)
+    for workers in (0, -5):
+        with pytest.raises(ValueError):
+            vi_integral(spec, ins, workers)
+        with pytest.raises(ValueError):
+            vi_integral_parallel(spec, ins, workers)
 
 
 def test_duality_self_dual_projective_line():
