@@ -15,49 +15,29 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import qh_oracle, twist, vi_engine
-from .errors import (
-    DimensionMismatchError,
-    NonIntegralError,
-    NotRationalError,
-    QuotcountError,
-    RegimeViolationError,
-)
+from .errors import DimensionMismatchError, QuotcountError, RegimeViolationError
 from .symfunc import CHERN, SEGRE, Insertion, weighted_degree
 from .twist import BClassWord, ProblemSpec
 from .vi_engine import GrassmannSpec, VirtualCount
 
 SCHEMA = "quotcount.result/1"
 
-MODES = (
-    "grassmannian",
-    "hypersurface",
-    "complete-intersection",
-    "closed-form",
-    "duality-check",
-    "b-reduce",
-    "tevelev",
-    "oracle-check",
-)
-# Allowed values of the string-valued request fields; the first is the default.
+# Allowed values of the string-valued request fields.
 CHOICES = {"path": ("closed", "phi", "both"), "variant": ("projective", "lg24")}
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
 
-VALIDATION_ERRORS = (
-    DimensionMismatchError,
-    RegimeViolationError,
-    ValueError,
-)
-# An arithmetic fault past validation is a breach, not a bad request.
-INTERNAL_ERRORS = (NotRationalError, NonIntegralError, ZeroDivisionError)
+VALIDATION_ERRORS = (DimensionMismatchError, RegimeViolationError, ValueError)
+
+Insertions = tuple[Insertion, ...]
 
 
 @dataclass
@@ -80,16 +60,14 @@ class JobRequest:
 
 @dataclass
 class JobResult:
-    mode: str
+    mode: Optional[str]  # None on a batch line that is not a request
     ok: bool
     value: Optional[Fraction] = None
     is_integer: Optional[bool] = None
     advisory: Optional[vi_engine.Advisory] = None
     dims: dict = field(default_factory=dict)
-    paths: Optional[dict] = None
-    duality: Optional[dict] = None
-    oracle: Optional[dict] = None
-    tevelev: Optional[dict] = None
+    # the mode's own report: paths, duality, oracle or tevelev
+    blocks: dict = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
     error: Optional[dict] = None
 
@@ -99,20 +77,10 @@ class JobResult:
             out["value"] = _value_fields(self.value)
             out["is_integer"] = self.is_integer
         if self.advisory is not None:
-            out["advisory"] = {
-                "status": self.advisory.status.value,
-                "reason": self.advisory.reason,
-            }
+            out["advisory"] = {"status": self.advisory.status.value, "reason": self.advisory.reason}
         if self.dims:
             out["dims"] = self.dims
-        if self.paths is not None:
-            out["paths"] = self.paths
-        if self.duality is not None:
-            out["duality"] = self.duality
-        if self.oracle is not None:
-            out["oracle"] = self.oracle
-        if self.tevelev is not None:
-            out["tevelev"] = self.tevelev
+        out.update(self.blocks)
         if self.stats:
             out["stats"] = self.stats
         if self.error is not None:
@@ -139,6 +107,10 @@ def _exact_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _error(exc: BaseException, code: int) -> dict:
+    return {"type": type(exc).__name__, "message": str(exc), "exit": code}
+
+
 def parse_insertions(text: str) -> tuple[tuple[str, int, int], ...]:
     """Parse `a1:3,s2:1` into ((kind, index, exponent), ...)."""
     if not text:
@@ -163,142 +135,155 @@ def parse_insertions(text: str) -> tuple[tuple[str, int, int], ...]:
     return tuple(out)
 
 
-def _expand(triples: Sequence[tuple[str, int, int]]) -> tuple[Insertion, ...]:
+def _expand(triples: Sequence[tuple[str, int, int]]) -> Insertions:
     out: list[Insertion] = []
     for kind, index, exponent in triples:
         out.extend([Insertion(kind, index)] * exponent)
     return tuple(out)
 
 
-def _require_n(req: JobRequest) -> int:
+# -- one runner per mode ------------------------------------------------------
+# A runner validates what its mode needs, fills the result's dims, blocks and
+# stats, and returns the count whose value the record reports.
+
+def _spec(req: JobRequest) -> GrassmannSpec:
     if req.n is None:
         raise ValueError(f"mode {req.mode} requires --n")
-    return req.n
+    return GrassmannSpec(req.r, req.n, req.g, req.d)
 
 
-def _count_fields(result: JobResult, count: VirtualCount) -> None:
-    result.value = count.value
-    result.is_integer = count.is_integer
-    result.advisory = count.advisory
+def _plain_dims(spec: GrassmannSpec, insertions: Insertions, **extra) -> dict:
+    return {"virtual_dim": spec.virtual_dim, **extra,
+            "insertion_degree": weighted_degree(insertions)}
+
+
+def _grassmannian(req: JobRequest, insertions: Insertions, result: JobResult) -> VirtualCount:
+    spec = _spec(req)
+    result.dims = _plain_dims(spec, insertions)
+    result.stats["subsets"] = spec.subset_count
+    count = vi_engine.vi_integral(spec, insertions, req.workers)
+    result.stats.update(summands=count.summands, workers=count.workers)
+    return count
+
+
+def _section(req: JobRequest, insertions: Insertions, result: JobResult) -> ProblemSpec:
+    base = _spec(req)
+    if not req.multidegree:
+        raise ValueError("a section multidegree is required (--l)")
+    problem = ProblemSpec(base, req.multidegree, insertions)
+    result.dims = _plain_dims(base, insertions, twisted_dim=problem.twisted_dim)
+    result.stats["subsets"] = base.subset_count
+    return problem
+
+
+def _hypersurface(req: JobRequest, insertions: Insertions, result: JobResult) -> VirtualCount:
+    problem = _section(req, insertions, result)
+    if req.path == "closed":
+        return twist.hypersurface_integral(problem, req.workers)
+    closed, phi, agree = twist.hypersurface_both_paths(problem, req.workers)
+    result.blocks["paths"] = {
+        "closed": _exact_str(closed.value),
+        "phi_expansion": _exact_str(phi.value),
+        "agree": agree,
+    }
+    return phi if req.path == "phi" else closed
+
+
+def _complete_intersection(req: JobRequest, insertions: Insertions, result: JobResult) -> VirtualCount:
+    return twist.complete_intersection_integral(_section(req, insertions, result), req.workers)
+
+
+def _closed_form(req: JobRequest, insertions: Insertions, result: JobResult) -> VirtualCount:
+    if req.variant == "lg24":
+        if req.m1 is None or req.m2 is None:
+            raise ValueError("closed-form lg24 requires --m1 and --m2")
+        return twist.closed_form_lg24(req.g, req.d, req.m1, req.m2)
+    if not req.multidegree:
+        raise ValueError("closed-form projective requires --l")
+    return twist.closed_form_projective(req.g, req.d, req.r, req.multidegree)
+
+
+def _duality_check(req: JobRequest, insertions: Insertions, result: JobResult) -> VirtualCount:
+    spec = _spec(req)
+    report = vi_engine.duality_check(spec, insertions)
+    result.blocks["duality"] = {
+        "chern_side": _exact_str(report.chern_side.value),
+        "segre_side": _exact_str(report.segre_side.value),
+        "equal": report.equal,
+    }
+    result.stats["subsets"] = spec.subset_count + spec.dual().subset_count
+    return report.chern_side
+
+
+def _b_reduce(req: JobRequest, insertions: Insertions, result: JobResult) -> VirtualCount:
+    base = _spec(req)
+    count = twist.reduce_b_classes(BClassWord(req.b_pairs, insertions), base, req.workers)
+    result.dims = _plain_dims(base, insertions, pairs=len(req.b_pairs))
+    return count
+
+
+def _tevelev(req: JobRequest, insertions: Insertions, result: JobResult) -> VirtualCount:
+    if len(req.multidegree) != 1:
+        raise ValueError("tevelev requires a single section degree (--l)")
+    report = twist.tevelev_compare(req.g, req.d, req.r, req.multidegree[0], req.t)
+    result.blocks["tevelev"] = {
+        "point_count": _exact_str(report.point_count.value),
+        "implied_tevelev": _exact_str(report.implied_tevelev),
+        "tevelev_is_integer": report.tevelev_is_integer,
+        "t": report.t,
+    }
+    return report.point_count
+
+
+def _oracle_check(req: JobRequest, insertions: Insertions, result: JobResult) -> VirtualCount:
+    if req.g != 0:
+        raise ValueError("the combinatorial oracle is a genus-0 check")
+    spec = _spec(req)
+    count = vi_engine.vi_integral(spec, insertions)
+    oracle_value = qh_oracle.fixed_domain_count_g0(req.r, spec.n, req.d, insertions)
+    result.blocks["oracle"] = {
+        "engine": _exact_str(count.value),
+        "oracle": str(oracle_value),
+        "equal": count.value == oracle_value,
+    }
+    return count
+
+
+RUNNERS = {
+    "grassmannian": _grassmannian,
+    "hypersurface": _hypersurface,
+    "complete-intersection": _complete_intersection,
+    "closed-form": _closed_form,
+    "duality-check": _duality_check,
+    "b-reduce": _b_reduce,
+    "tevelev": _tevelev,
+    "oracle-check": _oracle_check,
+}
+MODES = tuple(RUNNERS)
 
 
 def run(req: JobRequest) -> JobResult:
-    """Dispatch a parsed request; deterministic for every worker count."""
+    """Validate and dispatch a request; deterministic for every worker count."""
     result = JobResult(mode=req.mode, ok=True)
     started = time.perf_counter()
     try:
         if req.workers < 1:
             raise ValueError("workers must be a positive integer")
+        for name, allowed in CHOICES.items():
+            if getattr(req, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {getattr(req, name)!r}")
         insertions = _expand(req.insertions)
-        if req.mode == "grassmannian":
-            spec = GrassmannSpec(req.r, _require_n(req), req.g, req.d)
-            result.dims = {
-                "virtual_dim": spec.virtual_dim,
-                "insertion_degree": weighted_degree(insertions),
-            }
-            result.stats["subsets"] = spec.subset_count
-            count = vi_engine.vi_integral(spec, insertions, req.workers)
-            result.stats.update(summands=count.summands, workers=count.workers)
-            _count_fields(result, count)
-
-        elif req.mode in ("hypersurface", "complete-intersection"):
-            base = GrassmannSpec(req.r, _require_n(req), req.g, req.d)
-            if not req.multidegree:
-                raise ValueError("a section multidegree is required (--l)")
-            problem = ProblemSpec(base, req.multidegree, insertions)
-            result.dims = {
-                "virtual_dim": base.virtual_dim,
-                "twisted_dim": problem.twisted_dim,
-                "insertion_degree": weighted_degree(insertions),
-            }
-            result.stats["subsets"] = base.subset_count
-            if req.mode == "hypersurface" and req.path in ("phi", "both"):
-                closed, phi, agree = twist.hypersurface_both_paths(problem, req.workers)
-                result.paths = {
-                    "closed": _exact_str(closed.value),
-                    "phi_expansion": _exact_str(phi.value),
-                    "agree": agree,
-                }
-                count = phi if req.path == "phi" else closed
-            elif req.mode == "hypersurface":
-                count = twist.hypersurface_integral(problem, req.workers)
-            else:
-                count = twist.complete_intersection_integral(problem, req.workers)
-            _count_fields(result, count)
-
-        elif req.mode == "closed-form":
-            if req.variant == "lg24":
-                if req.m1 is None or req.m2 is None:
-                    raise ValueError("closed-form lg24 requires --m1 and --m2")
-                count = twist.closed_form_lg24(req.g, req.d, req.m1, req.m2)
-            else:
-                if not req.multidegree:
-                    raise ValueError("closed-form projective requires --l")
-                count = twist.closed_form_projective(req.g, req.d, req.r, req.multidegree)
-            _count_fields(result, count)
-
-        elif req.mode == "duality-check":
-            spec = GrassmannSpec(req.r, _require_n(req), req.g, req.d)
-            report = vi_engine.duality_check(spec, insertions)
-            result.duality = {
-                "chern_side": _exact_str(report.chern_side.value),
-                "segre_side": _exact_str(report.segre_side.value),
-                "equal": report.equal,
-            }
-            _count_fields(result, report.chern_side)
-            result.stats["subsets"] = spec.subset_count + spec.dual().subset_count
-
-        elif req.mode == "b-reduce":
-            base = GrassmannSpec(req.r, _require_n(req), req.g, req.d)
-            word = BClassWord(req.b_pairs, insertions)
-            count = twist.reduce_b_classes(word, base, req.workers)
-            _count_fields(result, count)
-            result.dims = {
-                "virtual_dim": base.virtual_dim,
-                "insertion_degree": weighted_degree(insertions),
-                "pairs": len(req.b_pairs),
-            }
-
-        elif req.mode == "tevelev":
-            if len(req.multidegree) != 1:
-                raise ValueError("tevelev requires a single section degree (--l)")
-            report = twist.tevelev_compare(req.g, req.d, req.r, req.multidegree[0], req.t)
-            result.tevelev = {
-                "point_count": _exact_str(report.point_count.value),
-                "implied_tevelev": _exact_str(report.implied_tevelev),
-                "tevelev_is_integer": report.tevelev_is_integer,
-                "t": report.t,
-            }
-            _count_fields(result, report.point_count)
-
-        elif req.mode == "oracle-check":
-            if req.g != 0:
-                raise ValueError("the combinatorial oracle is a genus-0 check")
-            spec = GrassmannSpec(req.r, _require_n(req), 0, req.d)
-            count = vi_engine.vi_integral(spec, insertions)
-            oracle_value = qh_oracle.fixed_domain_count_g0(
-                req.r, spec.n, req.d, insertions
-            )
-            result.oracle = {
-                "engine": _exact_str(count.value),
-                "oracle": str(oracle_value),
-                "equal": count.value == oracle_value,
-            }
-            _count_fields(result, count)
-
-        else:
+        if req.mode not in RUNNERS:
             raise ValueError(f"unknown mode {req.mode!r}")
-
-    except INTERNAL_ERRORS as exc:
+        count = RUNNERS[req.mode](req, insertions, result)
+        result.value, result.is_integer, result.advisory = (
+            count.value, count.is_integer, count.advisory)
+    except (*VALIDATION_ERRORS, QuotcountError, ZeroDivisionError) as exc:
+        # Any other package error, or an arithmetic fault past validation,
+        # is an internal invariant breach, not a bad request.
         result.ok = False
-        result.error = {"type": type(exc).__name__, "message": str(exc), "exit": EXIT_INTERNAL}
-    except VALIDATION_ERRORS as exc:
-        result.ok = False
-        result.error = {"type": type(exc).__name__, "message": str(exc), "exit": EXIT_VALIDATION}
-    except QuotcountError as exc:
-        # anything else from the package is an internal invariant breach
-        result.ok = False
-        result.error = {"type": type(exc).__name__, "message": str(exc), "exit": EXIT_INTERNAL}
+        code = EXIT_VALIDATION if isinstance(exc, VALIDATION_ERRORS) else EXIT_INTERNAL
+        result.error = _error(exc, code)
     result.stats["seconds"] = round(time.perf_counter() - started, 6)
     return result
 
@@ -403,7 +388,7 @@ def _render(result: JobResult, fmt: str, out=None) -> None:
     lines = [f"{result.mode}: value = {d['value']['exact']}"]
     if result.advisory is not None:
         lines.append(f"  advisory: {result.advisory.status.value} ({result.advisory.reason})")
-    for key in ("dims", "paths", "duality", "oracle", "tevelev"):
+    for key in ("dims", *result.blocks):
         if d.get(key):
             lines.append(f"  {key}: {json.dumps(d[key], sort_keys=True)}")
     lines.append(f"  stats: {json.dumps(d['stats'], sort_keys=True)}")
@@ -411,12 +396,45 @@ def _render(result: JobResult, fmt: str, out=None) -> None:
 
 
 def _exit_code(result: JobResult) -> int:
-    if result.ok:
-        return EXIT_OK
-    return result.error.get("exit", EXIT_VALIDATION)
+    return EXIT_OK if result.ok else result.error.get("exit", EXIT_VALIDATION)
 
 
-# -- batch ------------------------------------------------------------------
+# -- request fields -----------------------------------------------------------
+
+class Field(NamedTuple):
+    """How one JobRequest field is spelled on the command line and in a batch."""
+
+    flags: tuple[str, ...]
+    modes: tuple[str, ...]  # the subcommands that take it
+    kind: str  # "int", "ints", "insertions" or "choice" (one of CHOICES[name])
+    help: str
+    keys: tuple[str, ...] = ()  # batch spellings, when not just the field name
+
+
+FIELDS = {
+    "g": Field(("--g",), MODES, "int", "domain curve genus"),
+    "d": Field(("--d",), MODES, "int", "map degree"),
+    "r": Field(("--r",), MODES, "int", "rank of the target G(r,n)"),
+    "n": Field(("--n",), MODES, "int", "ambient dimension of the target G(r,n)"),
+    "multidegree": Field(("--l", "--multidegree"), MODES, "ints",
+                         "section degrees, comma separated (e.g. 2 or 2,2)"),
+    "insertions": Field(("--ins",), MODES, "insertions",
+                        "insertions, e.g. a1:3,a2:1 (Chern) or s2:4 (Segre)", ("ins", "insertions")),
+    "workers": Field(("--workers",), MODES, "int",
+                     "upper bound on the worker processes for the subset sum"),
+    "path": Field(("--path",), MODES, "choice", "hypersurface evaluation path"),
+    "variant": Field(("--variant",), ("closed-form",), "choice", "closed-form target"),
+    "b_pairs": Field(("--pairs",), ("b-reduce",), "ints",
+                     "odd-class pair indices, comma separated (each j pairs j with j+g)"),
+    "t": Field(("--t",), ("tevelev",), "int", "number of point conditions (derived when omitted)"),
+    "m1": Field(("--m1",), ("closed-form",), "int", "first-Chern exponent (lg24)"),
+    "m2": Field(("--m2",), ("closed-form",), "int", "second-Chern exponent (lg24)"),
+}
+
+
+def _csv_ints(text: str) -> tuple[int, ...]:
+    return tuple(int(piece) for piece in text.split(",")) if text.strip() else ()
+
 
 def _strict_int(value: object, name: str) -> int:
     """A JSON integer as is; bools, floats and strings are refused, not coerced."""
@@ -425,123 +443,100 @@ def _strict_int(value: object, name: str) -> int:
     return value
 
 
+def _json_insertions(value: object, name: str) -> tuple[tuple[str, int, int], ...]:
+    if isinstance(value, str):
+        return parse_insertions(value)
+    insertions = tuple(
+        (k, _strict_int(i, "insertion index"), _strict_int(e, "insertion exponent"))
+        for k, i, e in value
+    )
+    if any(e < 0 for _, _, e in insertions):
+        raise ValueError("insertion exponents must be nonnegative")
+    return insertions
+
+
+# kind -> command-line text to value; ints and choices come from argparse as is.
+_FROM_TEXT = {"ints": _csv_ints, "insertions": parse_insertions}
+# kind -> (batch JSON value, field name) to value; run() checks the choices.
+_FROM_JSON = {
+    "int": _strict_int,
+    "ints": lambda value, name: tuple(_strict_int(x, name) for x in value),
+    "insertions": _json_insertions,
+    "choice": lambda value, name: value,
+}
+# batch spelling -> field name, in FIELDS order
+_BATCH_KEYS = {key: name for name, f in FIELDS.items() for key in f.keys or (name,)}
+
+
 def _request_from_record(record: dict) -> JobRequest:
-    known = {
-        "mode", "g", "d", "r", "n", "multidegree", "ins", "insertions",
-        "workers", "path", "variant", "b_pairs", "t", "m1", "m2",
-    }
-    unknown = set(record) - known
+    unknown = set(record) - set(_BATCH_KEYS) - {"mode"}
     if unknown:
         raise ValueError(f"unknown batch fields: {sorted(unknown)}")
     if "mode" not in record or record["mode"] not in MODES:
         raise ValueError(f"batch record needs a mode from {MODES}")
-    ins_field = record.get("ins", record.get("insertions", ""))
-    if isinstance(ins_field, str):
-        insertions = parse_insertions(ins_field)
-    else:
-        insertions = tuple(
-            (k, _strict_int(i, "insertion index"), _strict_int(e, "insertion exponent"))
-            for k, i, e in ins_field
-        )
-        if any(e < 0 for _, _, e in insertions):
-            raise ValueError("insertion exponents must be nonnegative")
-    # Absent fields keep JobRequest's defaults; null is allowed where that default is None.
-    ints = {name: _strict_int(record[name], name) for name in ("g", "d", "r", "workers") if name in record}
-    ints.update((name, _strict_int(record[name], name))
-                for name in ("n", "t", "m1", "m2") if record.get(name) is not None)
-    strings = {name: record.get(name, allowed[0]) for name, allowed in CHOICES.items()}
-    for name, value in strings.items():
-        if value not in CHOICES[name]:
-            raise ValueError(f"{name} must be one of {CHOICES[name]}, got {value!r}")
-    return JobRequest(
-        mode=record["mode"],
-        multidegree=tuple(_strict_int(x, "multidegree") for x in record.get("multidegree", ())),
-        insertions=insertions,
-        b_pairs=tuple(_strict_int(x, "b_pairs") for x in record.get("b_pairs", ())),
-        **ints,
-        **strings,
-    )
+    values = {}
+    for key, name in _BATCH_KEYS.items():
+        # The first spelling present wins; absent fields keep JobRequest's
+        # defaults, and null is allowed where that default is None.
+        if key in record and name not in values:
+            if record[key] is not None or getattr(JobRequest, name) is not None:
+                values[name] = _FROM_JSON[FIELDS[name].kind](record[key], name)
+    return JobRequest(mode=record["mode"], **values)
 
+
+def _request_from_args(args: argparse.Namespace) -> JobRequest:
+    values = {name: _FROM_TEXT.get(FIELDS[name].kind, lambda text: text)(value)
+              for name, value in vars(args).items() if name in FIELDS}
+    return JobRequest(mode=args.command, **values)
+
+
+# -- batch ------------------------------------------------------------------
 
 def run_batch(path: str, out=None) -> int:
     """One JSON request per line in, one JSON result per line out.
 
     Record-level failures are reported in their record and do not stop
     the batch; the trailing summary line reports totals and the outcome
-    of every evaluation-path agreement check.
+    of every evaluation-path agreement check.  Returns the worst exit
+    code of any record.
     """
     out = out if out is not None else sys.stdout
-    records = 0
-    oks = 0
-    validation_errors = 0
-    internal_errors = 0
-    paths_checked = 0
-    paths_agreed = 0
+    exits: Counter = Counter()
+    agreements = []
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            records += 1
             try:
                 request = _request_from_record(json.loads(line))
-            except (json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
-                validation_errors += 1
-                out.write(json.dumps({
-                    "schema": SCHEMA, "mode": None, "ok": False,
-                    "error": {"type": type(exc).__name__, "message": str(exc),
-                              "exit": EXIT_VALIDATION},
-                }, sort_keys=True) + "\n")
-                continue
-            result = run(request)
-            if result.ok:
-                oks += 1
-            elif result.error and result.error.get("exit") == EXIT_INTERNAL:
-                internal_errors += 1
+            except (ValueError, TypeError, KeyError, RecursionError) as exc:
+                # RecursionError: a line nested too deeply to parse
+                result = JobResult(mode=None, ok=False, error=_error(exc, EXIT_VALIDATION))
             else:
-                validation_errors += 1
-            if result.paths is not None:
-                paths_checked += 1
-                paths_agreed += bool(result.paths["agree"])
+                result = run(request)
+                if "paths" in result.blocks:
+                    agreements.append(result.blocks["paths"]["agree"])
+            exits[_exit_code(result)] += 1
             out.write(json.dumps(result.to_dict(), sort_keys=True) + "\n")
     summary = {
         "schema": SCHEMA,
         "summary": True,
-        "records": records,
-        "ok": oks,
-        "validation_errors": validation_errors,
-        "internal_errors": internal_errors,
+        "records": sum(exits.values()),
+        "ok": exits[EXIT_OK],
+        "validation_errors": exits[EXIT_VALIDATION],
+        "internal_errors": exits[EXIT_INTERNAL],
         "path_agreement": {
-            "checked": paths_checked,
-            "agreed": paths_agreed,
-            "pass": paths_agreed == paths_checked,
+            "checked": len(agreements),
+            "agreed": sum(agreements),
+            "pass": all(agreements),
         },
     }
     out.write(json.dumps(summary, sort_keys=True) + "\n")
-    if internal_errors:
-        return EXIT_INTERNAL
-    if validation_errors:
-        return EXIT_VALIDATION
-    return EXIT_OK
+    return max(exits, default=EXIT_OK)
 
 
 # -- argument parsing -------------------------------------------------------
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--g", type=int, default=0, help="domain curve genus")
-    parser.add_argument("--d", type=int, default=0, help="map degree")
-    parser.add_argument("--r", type=int, default=1, help="rank of the target G(r,n)")
-    parser.add_argument("--n", type=int, help="ambient dimension of the target G(r,n)")
-    parser.add_argument("--l", "--multidegree", dest="multidegree", default="",
-                        help="section degrees, comma separated (e.g. 2 or 2,2)")
-    parser.add_argument("--ins", default="",
-                        help="insertions, e.g. a1:3,a2:1 (Chern) or s2:4 (Segre)")
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                        help="upper bound on the worker processes for the subset sum")
-    parser.add_argument("--path", choices=CHOICES["path"], default="closed",
-                        help="hypersurface evaluation path")
-    parser.add_argument("--format", dest="fmt", choices=("json", "text"), default="text")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -551,17 +546,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for mode in MODES:
-        p = sub.add_parser(mode, help=f"run a {mode} computation")
-        _add_common(p)
-        if mode == "closed-form":
-            p.add_argument("--variant", choices=CHOICES["variant"], default="projective")
-            p.add_argument("--m1", type=int, help="first-Chern exponent (lg24)")
-            p.add_argument("--m2", type=int, help="second-Chern exponent (lg24)")
-        if mode == "b-reduce":
-            p.add_argument("--pairs", default="",
-                           help="odd-class pair indices, comma separated (each j pairs j with j+g)")
-        if mode == "tevelev":
-            p.add_argument("--t", type=int, help="number of point conditions (derived when omitted)")
+        # An option left out keeps JobRequest's default.
+        p = sub.add_parser(mode, help=f"run a {mode} computation",
+                           argument_default=argparse.SUPPRESS)
+        for name, f in FIELDS.items():
+            if mode in f.modes:
+                options = {"choices": CHOICES[name]} if f.kind == "choice" else {
+                    "type": int if f.kind == "int" else str,
+                    "metavar": f.flags[-1].lstrip("-").upper()}
+                p.add_argument(*f.flags, dest=name, help=f.help, **options)
+        p.add_argument("--format", dest="fmt", choices=("json", "text"), default="text")
+        # One job from the command line may use every CPU; a request built
+        # in code or read from a batch defaults to one worker.
+        p.set_defaults(workers=os.cpu_count() or 1)
     batch = sub.add_parser("batch", help="run a JSON-lines file of requests")
     batch.add_argument("file", help="path to the request file")
     preset = sub.add_parser("preset", help="run or list named example computations")
@@ -569,13 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     preset.add_argument("--all", action="store_true", help="run every preset")
     preset.add_argument("--format", dest="fmt", choices=("json", "text"), default="text")
     return parser
-
-
-def _csv_ints(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(piece) for piece in text.split(","))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -586,47 +576,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return run_batch(args.file)
 
     if args.command == "preset":
-        names = list(PRESETS) if args.all or args.name is None else [args.name]
         if args.name is None and not args.all:
-            for name in names:
-                print(f"{name}: {PRESETS[name][0]}")
+            for name, (about, _, _) in PRESETS.items():
+                print(f"{name}: {about}")
             return EXIT_OK
+        if not args.all and args.name not in PRESETS:
+            print(f"unknown preset {args.name!r}", file=sys.stderr)
+            return EXIT_VALIDATION
         worst = EXIT_OK
-        for name in names:
-            if name not in PRESETS:
-                print(f"unknown preset {name!r}", file=sys.stderr)
-                return EXIT_VALIDATION
+        for name in PRESETS if args.all else [args.name]:
             result, expected, matched = run_preset(name)
-            record = result.to_dict()
-            record["preset"] = name
-            record["expected"] = expected
-            record["matched"] = matched
+            record = {**result.to_dict(), "preset": name, "expected": expected, "matched": matched}
             if args.fmt == "json":
                 print(json.dumps(record, sort_keys=True))
             else:
                 shown = record.get("value", {}).get("exact", "error")
                 print(f"{name}: value={shown} expected={expected} matched={matched}")
-            if not result.ok or not matched:
-                worst = max(worst, _exit_code(result), EXIT_INTERNAL if not matched else EXIT_OK)
+            worst = max(worst, _exit_code(result), EXIT_OK if matched else EXIT_INTERNAL)
         return worst
 
     try:
-        request = JobRequest(
-            mode=args.command,
-            g=args.g,
-            d=args.d,
-            r=args.r,
-            n=args.n,
-            multidegree=_csv_ints(args.multidegree),
-            insertions=parse_insertions(args.ins),
-            workers=args.workers,
-            path=args.path,
-            variant=getattr(args, "variant", "projective"),
-            b_pairs=_csv_ints(getattr(args, "pairs", "")),
-            t=getattr(args, "t", None),
-            m1=getattr(args, "m1", None),
-            m2=getattr(args, "m2", None),
-        )
+        request = _request_from_args(args)
     except ValueError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

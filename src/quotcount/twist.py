@@ -92,76 +92,81 @@ def _boost(spec: ProblemSpec) -> tuple[GrassmannSpec, tuple[Insertion, ...]]:
     return b, spec.insertions + (chern(1),) * extra
 
 
+def _boosted_value(spec: ProblemSpec, workers: int) -> Fraction:
+    """The plain count with the boosted insertions, after the spec's checks."""
+    _check_regime(spec)
+    _check_dimension(spec)
+    return vi_integral(*_boost(spec), workers).value
+
+
+def _closed_scalar(spec: ProblemSpec) -> Fraction:
+    """prod l^(d*l-g+1) * ((n - sum l)/n)^g, the closed-form prefactor."""
+    b = spec.base
+    scalar = Fraction(b.n - sum(spec.multidegree), b.n) ** b.g
+    for l in spec.multidegree:
+        scalar *= Fraction(l) ** (b.d * l - b.g + 1)
+    return scalar
+
+
+def _phi_scalar(spec: ProblemSpec) -> Fraction:
+    """l^(d*l-g+1) * sum over s <= min(d, g) of C(g, s) (-l/n)^s.
+
+    This closes to ((n-l)/n)^g exactly when d >= g.
+    """
+    b = spec.base
+    (l,) = spec.multidegree
+    return Fraction(l) ** (b.d * l - b.g + 1) * sum(
+        comb(b.g, s) * Fraction(-l, b.n) ** s for s in range(min(b.d, b.g) + 1)
+    )
+
+
+def _one_degree(spec: ProblemSpec, what: str) -> None:
+    if len(spec.multidegree) != 1:
+        raise ValueError(f"{what} expects exactly one section degree")
+
+
 def _certified(value: Fraction, advisory: Advisory) -> VirtualCount:
     if value.denominator != 1:
         raise NonIntegralError(f"twisted count came out non-integral: {value}")
     return VirtualCount(value, True, advisory)
 
 
+def _flagged(value: Fraction, advisory: Advisory) -> VirtualCount:
+    """A count reported with an honest integrality flag instead of a certificate."""
+    return VirtualCount(value, value.denominator == 1, advisory)
+
+
 def hypersurface_integral(spec: ProblemSpec, workers: int = 1) -> VirtualCount:
     """Count on a single degree-l section: prefactor times boosted plain count."""
-    if len(spec.multidegree) != 1:
-        raise ValueError("hypersurface_integral expects exactly one section degree")
+    _one_degree(spec, "hypersurface_integral")
     return complete_intersection_integral(spec, workers)
 
 
 def complete_intersection_integral(spec: ProblemSpec, workers: int = 1) -> VirtualCount:
     """Count on a multidegree section; with one factor this is the hypersurface case."""
-    _check_regime(spec)
-    _check_dimension(spec)
-    b = spec.base
-    prefactor = Fraction(1)
-    for l in spec.multidegree:
-        prefactor *= Fraction(l) ** (b.d * l - b.g + 1)
-    prefactor *= Fraction(b.n - sum(spec.multidegree), b.n) ** b.g
-    base, boosted = _boost(spec)
-    raw = vi_integral(base, boosted, workers).value
-    return _certified(prefactor * raw, enumerativity_advisor(spec))
+    value = _boosted_value(spec, workers) * _closed_scalar(spec)
+    return _certified(value, enumerativity_advisor(spec))
 
 
 def hypersurface_integral_via_phi_expansion(spec: ProblemSpec, workers: int = 1) -> VirtualCount:
-    """The same count through the truncated odd-class expansion.
+    """The same count through the truncated odd-class expansion (`_phi_scalar`).
 
-    The scalar in front of the boosted integral is
-    l^(d*l-g+1) * sum over s <= min(d, g) of C(g, s) (-l)^s / n^s,
-    which closes to ((n-l)/n)^g exactly when d >= g.  The result is
-    reported with an honest integrality flag instead of being certified,
-    so the d < g truncation (were it ever reachable) could be compared.
+    The result is reported with an honest integrality flag instead of
+    being certified, so the d < g truncation (were it ever reachable)
+    could be compared.
     """
-    if len(spec.multidegree) != 1:
-        raise ValueError("the expansion path expects exactly one section degree")
-    _check_regime(spec)
-    _check_dimension(spec)
-    b = spec.base
-    (l,) = spec.multidegree
-    scalar = Fraction(l) ** (b.d * l - b.g + 1)
-    scalar *= sum(
-        comb(b.g, s) * Fraction(-l, b.n) ** s for s in range(min(b.d, b.g) + 1)
-    )
-    base, boosted = _boost(spec)
-    raw = vi_integral(base, boosted, workers).value
-    value = scalar * raw
-    return VirtualCount(value, value.denominator == 1, enumerativity_advisor(spec))
+    _one_degree(spec, "the expansion path")
+    value = _boosted_value(spec, workers) * _phi_scalar(spec)
+    return _flagged(value, enumerativity_advisor(spec))
 
 
 def hypersurface_both_paths(spec: ProblemSpec, workers: int = 1) -> tuple[VirtualCount, VirtualCount, bool]:
     """Closed and expansion paths off a single engine run, plus agreement."""
-    if len(spec.multidegree) != 1:
-        raise ValueError("path comparison expects exactly one section degree")
-    _check_regime(spec)
-    _check_dimension(spec)
-    b = spec.base
-    (l,) = spec.multidegree
-    k = b.d * l - b.g + 1
-    base, boosted = _boost(spec)
-    raw = vi_integral(base, boosted, workers).value
+    _one_degree(spec, "path comparison")
+    raw = _boosted_value(spec, workers)
     advisory = enumerativity_advisor(spec)
-    closed = _certified(Fraction(b.n - l, b.n) ** b.g * Fraction(l) ** k * raw, advisory)
-    scalar = Fraction(l) ** k * sum(
-        comb(b.g, s) * Fraction(-l, b.n) ** s for s in range(min(b.d, b.g) + 1)
-    )
-    phi_value = scalar * raw
-    phi = VirtualCount(phi_value, phi_value.denominator == 1, advisory)
+    closed = _certified(raw * _closed_scalar(spec), advisory)
+    phi = _flagged(raw * _phi_scalar(spec), advisory)
     return closed, phi, closed.value == phi.value
 
 
@@ -242,7 +247,7 @@ def closed_form_projective(g: int, d: int, r: int, multidegree: Sequence[int]) -
     for l in multidegree:
         value *= Fraction(l) ** (d * l - g + 1)
     value *= Fraction(r + 1 - sum(multidegree)) ** g
-    return VirtualCount(value, value.denominator == 1, _projective_advisory(g, d, r, multidegree))
+    return _flagged(value, _projective_advisory(g, d, r, multidegree))
 
 
 def closed_form_lg24(g: int, d: int, m1: int, m2: int) -> VirtualCount:
@@ -260,11 +265,7 @@ def closed_form_lg24(g: int, d: int, m1: int, m2: int) -> VirtualCount:
             f"m1 + 2*m2 = {m1 + 2 * m2} != 3*(d-g+1) = {3 * (d - g + 1)}"
         )
     value = Fraction(2) ** (2 * d - m2 - g + 1) * 3**g
-    return VirtualCount(
-        value,
-        value.denominator == 1,
-        Advisory(Enumerativity.ENUMERATIVE_IF_WEAKLY_CONVEX, LARGE_D_NOTE),
-    )
+    return _flagged(value, Advisory(Enumerativity.ENUMERATIVE_IF_WEAKLY_CONVEX, LARGE_D_NOTE))
 
 
 @dataclass(frozen=True)
@@ -296,9 +297,7 @@ def tevelev_compare(g: int, d: int, r: int, l: int, t: Optional[int] = None) -> 
     elif t != quotient:
         raise DimensionMismatchError(f"t={t} inconsistent with e_l/(r-1)={quotient}")
     q_value = Fraction(l) ** (d * l - g + 1 - t) * Fraction(r + 1 - l) ** g
-    q_count = VirtualCount(
-        q_value, q_value.denominator == 1, _projective_advisory(g, d, r, (l,))
-    )
+    q_count = _flagged(q_value, _projective_advisory(g, d, r, (l,)))
     implied = Fraction(factorial(l), l**l) ** t * q_value
     return TevelevComparison(q_count, implied, implied.denominator == 1, t)
 

@@ -31,10 +31,13 @@ the units of Z/n turns that weighted sum S into the full subset sum,
 
     sum over I of summand(I) = (1/phi(n)) * sum over u of sigma_u(S),
 
-as an element of Q[w]/(w^n - 1), before any reduction modulo Phi_n.  A
-process pool takes the representatives only when each of its processes
-gets SUMMANDS_PER_WORKER or more (`pool_size`); exact arithmetic makes
-the result identical for every worker count.
+as an element of Q[w]/(w^n - 1), before any reduction modulo Phi_n.
+That total is Galois-invariant by construction, so its residue is
+always rational: NotRationalError no longer detects a wrong summand,
+which can instead come out as a wrong integer.  A process pool takes
+the representatives only when each of its processes gets
+SUMMANDS_PER_WORKER or more (`pool_size`); exact arithmetic makes the
+result identical for every worker count.
 """
 
 from __future__ import annotations

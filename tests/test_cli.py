@@ -13,6 +13,9 @@ from quotcount.cli import (
     EXIT_VALIDATION,
     PRESETS,
     JobRequest,
+    _request_from_args,
+    _request_from_record,
+    build_parser,
     main,
     parse_insertions,
     run,
@@ -287,6 +290,95 @@ def test_batch_refuses_bad_workers_path_and_variant(tmp_path):
     assert summary["summary"] is True
     assert summary["records"] == len(bad) + 1 and summary["validation_errors"] == len(bad)
     assert code == EXIT_VALIDATION
+
+
+def test_run_refuses_unknown_path_and_variant_from_code():
+    requests = [
+        JobRequest(mode="hypersurface", g=1, d=2, r=2, n=4, multidegree=(1,),
+                   insertions=(("chern", 1, 4), ("chern", 2, 1)), path="bogus"),
+        JobRequest(mode="closed-form", g=0, d=1, r=1, multidegree=(2,), variant="nonsense"),
+    ]
+    for request, name in zip(requests, ("path", "variant")):
+        result = run(request)
+        record = result.to_dict()
+        assert record["ok"] is False and "value" not in record and "paths" not in record
+        assert record["error"]["type"] == "ValueError" and name in record["error"]["message"]
+        assert record["error"]["exit"] == EXIT_VALIDATION
+
+
+def test_batch_survives_a_deeply_nested_line(tmp_path):
+    good = '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:3"}'
+    code, rows = run_batch_lines(tmp_path, ["[" * 10_000 + "]" * 10_000, good])
+    assert len(rows) == 3
+    assert rows[0]["ok"] is False and rows[0]["mode"] is None
+    assert rows[0]["error"]["type"] == "RecursionError"
+    assert rows[0]["error"]["exit"] == EXIT_VALIDATION
+    assert rows[1]["ok"] is True and rows[1]["value"]["exact"] == "3"
+    assert rows[2]["summary"] is True
+    assert rows[2]["records"] == 2 and rows[2]["ok"] == 1 and rows[2]["validation_errors"] == 1
+    assert code == EXIT_VALIDATION
+
+
+def test_batch_returns_the_worst_exit_code(tmp_path, monkeypatch):
+    from quotcount import twist
+
+    def broken(*args):
+        raise ZeroDivisionError("Fraction(1, 0)")
+
+    monkeypatch.setattr(twist, "closed_form_lg24", broken)
+    code, rows = run_batch_lines(tmp_path, [
+        '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:3"}',
+        '{"mode": "closed-form", "variant": "lg24", "g": 0, "d": 1, "m1": 6, "m2": 0}',
+        "not json",
+    ])
+    assert [row.get("error", {}).get("exit") for row in rows[:-1]] == [None, EXIT_INTERNAL, EXIT_VALIDATION]
+    summary = rows[-1]
+    assert (summary["records"], summary["ok"], summary["validation_errors"],
+            summary["internal_errors"]) == (3, 1, 1, 1)
+    assert code == EXIT_INTERNAL
+
+
+def _ins_text(request):
+    return ",".join(f"{'a' if kind == 'chern' else 's'}{i}:{e}" for kind, i, e in request.insertions)
+
+
+def _argv(request):
+    """A preset request spelled as command-line arguments, by hand."""
+    argv = [request.mode, "--g", str(request.g), "--d", str(request.d), "--r", str(request.r),
+            "--workers", str(request.workers), "--path", request.path]
+    if request.n is not None:
+        argv += ["--n", str(request.n)]
+    if request.multidegree:
+        argv += ["--l", ",".join(map(str, request.multidegree))]
+    if request.insertions:
+        argv += ["--ins", _ins_text(request)]
+    if request.mode == "closed-form":
+        argv += ["--variant", request.variant]
+        for name in ("m1", "m2"):
+            if getattr(request, name) is not None:
+                argv += [f"--{name}", str(getattr(request, name))]
+    if request.b_pairs:
+        argv += ["--pairs", ",".join(map(str, request.b_pairs))]
+    if request.t is not None:
+        argv += ["--t", str(request.t)]
+    return argv
+
+
+def test_presets_parse_alike_from_argv_and_batch_records():
+    from dataclasses import asdict
+
+    from quotcount.cli import MODES
+
+    assert {request.mode for _, request, _ in PRESETS.values()} == set(MODES)
+    for name, (_, request, _) in PRESETS.items():
+        from_argv = _request_from_args(build_parser().parse_args(_argv(request)))
+        # JSON turns the tuples into lists and None into null
+        record = json.loads(json.dumps(asdict(request)))
+        ins_record = {key: value for key, value in record.items() if key != "insertions"}
+        ins_record["ins"] = _ins_text(request)
+        assert from_argv == request, name
+        assert _request_from_record(record) == request, name
+        assert _request_from_record(ins_record) == request, name
 
 
 def test_batch_tevelev_zero_degree_is_a_validation_error(tmp_path):
