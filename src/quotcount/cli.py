@@ -16,7 +16,6 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -40,8 +39,7 @@ VALIDATION_ERRORS = (DimensionMismatchError, RegimeViolationError, ValueError)
 Insertions = tuple[Insertion, ...]
 
 
-@dataclass
-class JobRequest:
+class JobRequest(NamedTuple):
     mode: str
     g: int = 0
     d: int = 0
@@ -58,18 +56,18 @@ class JobRequest:
     m2: Optional[int] = None
 
 
-@dataclass
 class JobResult:
-    mode: Optional[str]  # None on a batch line that is not a request
-    ok: bool
-    value: Optional[Fraction] = None
-    is_integer: Optional[bool] = None
-    advisory: Optional[vi_engine.Advisory] = None
-    dims: dict = field(default_factory=dict)
-    # the mode's own report: paths, duality, oracle or tevelev
-    blocks: dict = field(default_factory=dict)
-    stats: dict = field(default_factory=dict)
-    error: Optional[dict] = None
+    def __init__(self, mode: Optional[str], ok: bool, value: Optional[Fraction] = None,
+                 is_integer: Optional[bool] = None, advisory: Optional[vi_engine.Advisory] = None,
+                 dims: Optional[dict] = None, blocks: Optional[dict] = None,
+                 stats: Optional[dict] = None, error: Optional[dict] = None):
+        self.mode = mode  # None on a batch line that is not a request
+        self.ok, self.value, self.is_integer, self.advisory = ok, value, is_integer, advisory
+        self.dims = {} if dims is None else dims
+        # the mode's own report: paths, duality, oracle or tevelev
+        self.blocks = {} if blocks is None else blocks
+        self.stats = {} if stats is None else stats
+        self.error = error
 
     def to_dict(self) -> dict:
         out: dict = {"schema": SCHEMA, "mode": self.mode, "ok": self.ok}
@@ -205,7 +203,7 @@ def _closed_form(req: JobRequest, insertions: Insertions, result: JobResult) -> 
 
 def _duality_check(req: JobRequest, insertions: Insertions, result: JobResult) -> VirtualCount:
     spec = _spec(req)
-    report = vi_engine.duality_check(spec, insertions)
+    report = vi_engine.duality_check(spec, insertions, req.workers)
     result.blocks["duality"] = {
         "chern_side": _exact_str(report.chern_side.value),
         "segre_side": _exact_str(report.segre_side.value),
@@ -239,7 +237,7 @@ def _oracle_check(req: JobRequest, insertions: Insertions, result: JobResult) ->
     if req.g != 0:
         raise ValueError("the combinatorial oracle is a genus-0 check")
     spec = _spec(req)
-    count = vi_engine.vi_integral(spec, insertions)
+    count = vi_engine.vi_integral(spec, insertions, req.workers)
     oracle_value = qh_oracle.fixed_domain_count_g0(req.r, spec.n, req.d, insertions)
     result.blocks["oracle"] = {
         "engine": _exact_str(count.value),
@@ -267,13 +265,11 @@ def run(req: JobRequest) -> JobResult:
     result = JobResult(mode=req.mode, ok=True)
     started = time.perf_counter()
     try:
+        _check_fields(req)
         if req.workers < 1:
             raise ValueError("workers must be a positive integer")
-        for name, allowed in CHOICES.items():
-            if getattr(req, name) not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}, got {getattr(req, name)!r}")
         insertions = _expand(req.insertions)
-        if req.mode not in RUNNERS:
+        if req.mode not in MODES:
             raise ValueError(f"unknown mode {req.mode!r}")
         count = RUNNERS[req.mode](req, insertions, result)
         result.value, result.is_integer, result.advisory = (
@@ -436,36 +432,61 @@ def _csv_ints(text: str) -> tuple[int, ...]:
     return tuple(int(piece) for piece in text.split(",")) if text.strip() else ()
 
 
-def _strict_int(value: object, name: str) -> int:
-    """A JSON integer as is; bools, floats and strings are refused, not coerced."""
+def _strict_int(value: object, name: str) -> None:
+    """Refuse bools, floats and strings instead of coercing them."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
-def _json_insertions(value: object, name: str) -> tuple[tuple[str, int, int], ...]:
-    if isinstance(value, str):
-        return parse_insertions(value)
-    insertions = tuple(
-        (k, _strict_int(i, "insertion index"), _strict_int(e, "insertion exponent"))
-        for k, i, e in value
-    )
-    if any(e < 0 for _, _, e in insertions):
-        raise ValueError("insertion exponents must be nonnegative")
-    return insertions
+def _strict_insertions(value: object, name: str) -> None:
+    for _, index, exponent in value:
+        # one test per insertion; the calls below name the defect it found
+        if type(index) is not int or type(exponent) is not int or exponent < 0:
+            _strict_int(index, "insertion index")
+            _strict_int(exponent, "insertion exponent")
+            raise ValueError("insertion exponents must be nonnegative")
+
+
+def _choice(value: object, name: str) -> None:
+    if value not in CHOICES[name]:
+        raise ValueError(f"{name} must be one of {CHOICES[name]}, got {value!r}")
+
+
+# kind -> check of a field's value; run() makes it once per request.
+_CHECKS = {
+    "int": _strict_int,
+    "ints": lambda value, name: [_strict_int(x, name) for x in value],
+    "insertions": _strict_insertions,
+    "choice": _choice,
+}
+# (name, check, default) of each JobRequest field after `mode`, in field order
+_FIELD_CHECKS = tuple((name, _CHECKS[FIELDS[name].kind], JobRequest._field_defaults[name])
+                      for name in JobRequest._fields[1:])
+
+
+def _check_fields(req: JobRequest) -> None:
+    """Refuse a field whose value is not of its FIELDS kind.  A field left at
+    JobRequest's default (None included) is valid as it is."""
+    for (name, check, default), value in zip(_FIELD_CHECKS, req[1:]):
+        if value is not default:
+            try:
+                check(value, name)
+            except TypeError:  # not a sequence, or an insertion that is not a triple
+                raise ValueError(f"{name} is malformed: {value!r}") from None
 
 
 # kind -> command-line text to value; ints and choices come from argparse as is.
 _FROM_TEXT = {"ints": _csv_ints, "insertions": parse_insertions}
-# kind -> (batch JSON value, field name) to value; run() checks the choices.
+# kind -> batch JSON value to the field's shape (ints and choices are taken
+# as they are); run() checks the types.
 _FROM_JSON = {
-    "int": _strict_int,
-    "ints": lambda value, name: tuple(_strict_int(x, name) for x in value),
-    "insertions": _json_insertions,
-    "choice": lambda value, name: value,
+    "ints": tuple,
+    "insertions": lambda value: (
+        parse_insertions(value) if isinstance(value, str) else tuple(map(tuple, value))),
 }
-# batch spelling -> field name, in FIELDS order
-_BATCH_KEYS = {key: name for name, f in FIELDS.items() for key in f.keys or (name,)}
+# batch spelling -> (field name, shape conversion or None), in FIELDS order
+_BATCH_KEYS = {key: (name, _FROM_JSON.get(f.kind))
+               for name, f in FIELDS.items() for key in f.keys or (name,)}
 
 
 def _request_from_record(record: dict) -> JobRequest:
@@ -475,12 +496,10 @@ def _request_from_record(record: dict) -> JobRequest:
     if "mode" not in record or record["mode"] not in MODES:
         raise ValueError(f"batch record needs a mode from {MODES}")
     values = {}
-    for key, name in _BATCH_KEYS.items():
-        # The first spelling present wins; absent fields keep JobRequest's
-        # defaults, and null is allowed where that default is None.
+    for key, (name, convert) in _BATCH_KEYS.items():
+        # The first spelling present wins; absent fields keep JobRequest's defaults.
         if key in record and name not in values:
-            if record[key] is not None or getattr(JobRequest, name) is not None:
-                values[name] = _FROM_JSON[FIELDS[name].kind](record[key], name)
+            values[name] = record[key] if convert is None else convert(record[key])
     return JobRequest(mode=record["mode"], **values)
 
 

@@ -19,25 +19,24 @@ coefficients, which the multiplication asserts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import DimensionMismatchError, QuotcountError
 from .symfunc import CHERN, Insertion, weighted_degree
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple("Partition", [("parts", tuple[int, ...])])):
     """A weakly decreasing tuple of positive integers (rows of a shape)."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(p < 1 for p in self.parts):
+    def __new__(cls, parts: tuple[int, ...]) -> Partition:
+        if any(p < 1 for p in parts):
             raise ValueError("parts must be positive (trailing zeros are implicit)")
-        if any(b > a for a, b in zip(self.parts, self.parts[1:])):
+        if any(b > a for a, b in zip(parts, parts[1:])):
             raise ValueError("parts must be weakly decreasing")
+        return super().__new__(cls, parts)
 
     @property
     def size(self) -> int:
@@ -123,13 +122,12 @@ def _rim_hook_reduce(padded: tuple[int, ...], r: int, n: int):
     return tuple(cur), q_added, sign
 
 
-@dataclass
 class QClass:
     """An integer combination of (box partition, q-power) basis elements."""
 
-    r: int
-    n: int
-    terms: dict[tuple[tuple[int, ...], int], int] = field(default_factory=dict)
+    def __init__(self, r: int, n: int, terms: dict[tuple[tuple[int, ...], int], int] | None = None):
+        self.r, self.n = r, n
+        self.terms = {} if terms is None else terms
 
     @classmethod
     def unit(cls, r: int, n: int) -> QClass:

@@ -10,8 +10,7 @@ complementary tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cyclotomic import Cyc, one, zero
 
@@ -19,18 +18,17 @@ CHERN = "chern"
 SEGRE = "segre"
 
 
-@dataclass(frozen=True)
-class Insertion:
+class Insertion(NamedTuple("Insertion", [("kind", str), ("index", int)])):
     """A tagged incidence class: Chern(i) evaluates as e_i, Segre(i) as h_i."""
 
-    kind: str
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in (CHERN, SEGRE):
-            raise ValueError(f"unknown insertion kind {self.kind!r}")
-        if self.index < 1:
+    def __new__(cls, kind: str, index: int) -> Insertion:
+        if kind not in (CHERN, SEGRE):
+            raise ValueError(f"unknown insertion kind {kind!r}")
+        if index < 1:
             raise ValueError("insertion index must be a positive integer")
+        return super().__new__(cls, kind, index)
 
 
 def chern(i: int) -> Insertion:

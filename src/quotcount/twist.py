@@ -23,10 +23,9 @@ the fixed-point-count comparison and the enumerativity advisor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatchError, NonIntegralError, RegimeViolationError
 from .symfunc import CHERN, SEGRE, Insertion, chern, weighted_degree
@@ -46,17 +45,18 @@ LARGE_D_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(NamedTuple("ProblemSpec", [
+    ("base", GrassmannSpec), ("multidegree", tuple[int, ...]), ("insertions", tuple[Insertion, ...]),
+])):
     """A counting problem: base target, section multidegree, insertions."""
 
-    base: GrassmannSpec
-    multidegree: tuple[int, ...]
-    insertions: tuple[Insertion, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(l < 1 for l in self.multidegree):
+    def __new__(cls, base: GrassmannSpec, multidegree: tuple[int, ...],
+                insertions: tuple[Insertion, ...]) -> ProblemSpec:
+        if any(l < 1 for l in multidegree):
             raise ValueError("multidegree entries must be positive integers")
+        return super().__new__(cls, base, multidegree, insertions)
 
     @property
     def twisted_dim(self) -> int:
@@ -170,19 +170,20 @@ def hypersurface_both_paths(spec: ProblemSpec, workers: int = 1) -> tuple[Virtua
     return closed, phi, closed.value == phi.value
 
 
-@dataclass(frozen=True)
-class BClassWord:
+class BClassWord(NamedTuple("BClassWord", [
+    ("pair_indices", tuple[int, ...]), ("monomial", tuple[Insertion, ...]),
+])):
     """s odd-class pairs (each pair is the j and j+g first-Chern components)
     followed by a trailing Chern monomial."""
 
-    pair_indices: tuple[int, ...]
-    monomial: tuple[Insertion, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(j < 1 for j in self.pair_indices):
+    def __new__(cls, pair_indices: tuple[int, ...], monomial: tuple[Insertion, ...]) -> BClassWord:
+        if any(j < 1 for j in pair_indices):
             raise ValueError("pair indices must be positive")
-        if any(ins.kind != CHERN for ins in self.monomial):
+        if any(ins.kind != CHERN for ins in monomial):
             raise ValueError("the trailing monomial must consist of Chern insertions")
+        return super().__new__(cls, pair_indices, monomial)
 
 
 B_WORD_ADVISORY = Advisory(
@@ -268,8 +269,7 @@ def closed_form_lg24(g: int, d: int, m1: int, m2: int) -> VirtualCount:
     return _flagged(value, Advisory(Enumerativity.ENUMERATIVE_IF_WEAKLY_CONVEX, LARGE_D_NOTE))
 
 
-@dataclass(frozen=True)
-class TevelevComparison:
+class TevelevComparison(NamedTuple):
     point_count: VirtualCount
     implied_tevelev: Fraction
     tevelev_is_integer: bool

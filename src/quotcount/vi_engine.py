@@ -44,11 +44,10 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import symfunc
 from .cyclotomic import Cyc, extract_rational, one, root_of_unity, zero
@@ -62,8 +61,7 @@ class Enumerativity(enum.Enum):
     OUT_OF_REGIME = "out-of-regime"
 
 
-@dataclass(frozen=True)
-class Advisory:
+class Advisory(NamedTuple):
     status: Enumerativity
     reason: str
 
@@ -80,41 +78,49 @@ SEGRE_ADVISORY = Advisory(
 )
 
 
-@dataclass(frozen=True)
-class VirtualCount:
-    """An exact virtual count: value, integrality certificate, advisory."""
+class VirtualCount(NamedTuple):
+    """An exact virtual count: value, integrality certificate, advisory.
+
+    Equality and hashing see those three only: `summands` (one per affine
+    orbit) and `workers` (processes used) are statistics of the run.
+    """
 
     value: Fraction
     is_integer: bool
     advisory: Advisory
-    # Summands the engine evaluated (one per affine orbit); a work
-    # statistic, not part of the value.
-    summands: Optional[int] = field(default=None, compare=False)
-    # Processes the sum ran on; depends on the host, not part of the value.
-    workers: Optional[int] = field(default=None, compare=False)
+    summands: Optional[int] = None
+    workers: Optional[int] = None
 
     def as_integer(self) -> int:
         if not self.is_integer:
             raise NonIntegralError(f"count {self.value} is not an integer")
         return int(self.value)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VirtualCount):
+            return NotImplemented
+        return self[:3] == other[:3]
 
-@dataclass(frozen=True)
-class GrassmannSpec:
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
+
+
+class GrassmannSpec(NamedTuple("GrassmannSpec", [("r", int), ("n", int), ("g", int), ("d", int)])):
     """Target G(r, n), domain genus g, map degree d."""
 
-    r: int
-    n: int
-    g: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.r <= self.n:
+    def __new__(cls, r: int, n: int, g: int, d: int) -> GrassmannSpec:
+        if not 1 <= r <= n:
             raise ValueError("rank must satisfy 1 <= r <= n")
-        if self.g < 0:
+        if g < 0:
             raise ValueError("genus must be nonnegative")
-        if self.d < 0:
+        if d < 0:
             raise ValueError("degree must be nonnegative")
+        return super().__new__(cls, r, n, g, d)
 
     @property
     def virtual_dim(self) -> int:
@@ -129,17 +135,17 @@ class GrassmannSpec:
         return GrassmannSpec(self.n - self.r, self.n, self.g, self.d)
 
 
-@dataclass(frozen=True)
-class SubsetIndex:
+class SubsetIndex(NamedTuple("SubsetIndex", [("indices", tuple[int, ...])])):
     """A strictly increasing r-tuple of exponents in [0, n); entry a means w^a."""
 
-    indices: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
+    def __new__(cls, indices: tuple[int, ...]) -> SubsetIndex:
+        if any(b <= a for a, b in zip(indices, indices[1:])):
             raise ValueError("indices must be strictly increasing")
-        if self.indices and self.indices[0] < 0:
+        if indices and indices[0] < 0:
             raise ValueError("indices must be nonnegative")
+        return super().__new__(cls, indices)
 
     def complement(self, n: int) -> SubsetIndex:
         inside = set(self.indices)
@@ -454,15 +460,17 @@ def vi_integral_parallel(
     return vi_integral(spec, insertions, workers)
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     chern_side: VirtualCount
     segre_side: VirtualCount
     equal: bool
 
 
-def duality_check(spec: GrassmannSpec, chern_insertions: Iterable[Insertion]) -> DualityReport:
-    """Compare the rank-r Chern-insertion count with its rank-(n-r) mirror.
+def duality_check(
+    spec: GrassmannSpec, chern_insertions: Iterable[Insertion], workers: int = 1
+) -> DualityReport:
+    """Compare the rank-r Chern-insertion count with its rank-(n-r) mirror,
+    each summed on at most `workers` processes.
 
     The mirror problem replaces every Chern(i) by Segre(i) on G(n-r, n);
     the two integrals are equal.  Segre indices may exceed n-r, so no
@@ -474,6 +482,6 @@ def duality_check(spec: GrassmannSpec, chern_insertions: Iterable[Insertion]) ->
     if spec.r >= spec.n:
         raise ValueError("duality requires rank < n (the mirror rank must be positive)")
     mirrored = tuple(Insertion(SEGRE, ins.index) for ins in insertions)
-    lhs = vi_integral(spec, insertions)
-    rhs = vi_integral(spec.dual(), mirrored)
+    lhs = vi_integral(spec, insertions, workers)
+    rhs = vi_integral(spec.dual(), mirrored, workers)
     return DualityReport(lhs, rhs, lhs.value == rhs.value)

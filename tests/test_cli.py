@@ -306,6 +306,51 @@ def test_run_refuses_unknown_path_and_variant_from_code():
         assert record["error"]["exit"] == EXIT_VALIDATION
 
 
+def test_run_refuses_mistyped_fields_from_code():
+    base = dict(mode="grassmannian", g=1, d=1, r=2, n=3, insertions=(("chern", 1, 3),))
+    cases = [
+        (dict(workers="2"), "workers"), (dict(workers=None), "workers"), (dict(g="1"), "g"),
+        (dict(n=3.0), "n"), (dict(r=True), "r"), (dict(multidegree=2), "multidegree"),
+        (dict(insertions=(3,)), "insertions"), (dict(insertions=(("chern", 1, 3.0),)), "exponent"),
+    ]
+    for change, word in cases:
+        record = run(JobRequest(**{**base, **change})).to_dict()
+        assert record["ok"] is False and "value" not in record, change
+        assert record["error"]["type"] == "ValueError" and word in record["error"]["message"], change
+        assert record["error"]["exit"] == EXIT_VALIDATION
+    assert run(JobRequest(**base)).value == 3
+
+
+def test_duality_and_oracle_checks_pass_the_worker_bound_on(capsys, monkeypatch):
+    from quotcount import vi_engine
+
+    seen = []
+    original = vi_engine.vi_integral
+
+    def spy(spec, insertions, workers=1):
+        seen.append(workers)
+        return original(spec, insertions, workers)
+
+    monkeypatch.setattr(vi_engine, "vi_integral", spy)
+    for mode, g in (("duality-check", 1), ("oracle-check", 0)):
+        code, out = run_cli(capsys, mode, "--g", str(g), "--d", "1", "--r", "2", "--n", "3",
+                            "--ins", "a1:3" if g else "a1:5", "--workers", "3", "--format", "json")
+        record = last_json(out)
+        assert code == EXIT_OK and record[mode.split("-")[0]]["equal"] is True
+    assert seen == [3, 3, 3]
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_pool():
+    import subprocess
+    import sys
+
+    code = ("import sys, quotcount.cli; print(sorted(set(sys.modules) & "
+            "{'dataclasses', 'inspect', 'concurrent.futures'}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_batch_survives_a_deeply_nested_line(tmp_path):
     good = '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:3"}'
     code, rows = run_batch_lines(tmp_path, ["[" * 10_000 + "]" * 10_000, good])
@@ -365,15 +410,13 @@ def _argv(request):
 
 
 def test_presets_parse_alike_from_argv_and_batch_records():
-    from dataclasses import asdict
-
     from quotcount.cli import MODES
 
     assert {request.mode for _, request, _ in PRESETS.values()} == set(MODES)
     for name, (_, request, _) in PRESETS.items():
         from_argv = _request_from_args(build_parser().parse_args(_argv(request)))
         # JSON turns the tuples into lists and None into null
-        record = json.loads(json.dumps(asdict(request)))
+        record = json.loads(json.dumps(request._asdict()))
         ins_record = {key: value for key, value in record.items() if key != "insertions"}
         ins_record["ins"] = _ins_text(request)
         assert from_argv == request, name

@@ -1,0 +1,90 @@
+"""The package's value types: checked construction, immutability, hashing by
+value and pickling (a process pool ships specs and insertions as pickles)."""
+
+from __future__ import annotations
+
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from quotcount.cli import JobRequest, JobResult
+from quotcount.qh_oracle import Partition, QClass
+from quotcount.symfunc import Insertion, chern, segre
+from quotcount.twist import BClassWord, ProblemSpec, TevelevComparison
+from quotcount.vi_engine import (
+    PLAIN_TARGET_ADVISORY,
+    SEGRE_ADVISORY,
+    DualityReport,
+    GrassmannSpec,
+    SubsetIndex,
+    VirtualCount,
+)
+
+SPEC = GrassmannSpec(2, 4, 1, 1)
+COUNT = VirtualCount(Fraction(3), True, PLAIN_TARGET_ADVISORY, summands=7, workers=2)
+RECORDS = [
+    chern(2),
+    Partition((2, 1)),
+    PLAIN_TARGET_ADVISORY,
+    COUNT,
+    SPEC,
+    SubsetIndex((0, 2)),
+    DualityReport(COUNT, COUNT, True),
+    ProblemSpec(SPEC, (2,), (chern(1),)),
+    BClassWord((1,), (chern(1),)),
+    TevelevComparison(COUNT, Fraction(3, 2), False, 1),
+    JobRequest(mode="grassmannian", g=1, d=1, r=2, n=3, insertions=(("chern", 1, 3),)),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+def test_records_are_frozen_hash_by_value_and_pickle(record):
+    name = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    rebuilt = type(record)(*record)
+    assert rebuilt == record and hash(rebuilt) == hash(record)
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record) and copy == record and hash(copy) == hash(record)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Insertion(kind="pontryagin", index=1), "unknown insertion kind"),
+    (lambda: Insertion(kind="chern", index=0), "positive"),
+    (lambda: Partition(parts=(1, 2)), "weakly decreasing"),
+    (lambda: GrassmannSpec(r=5, n=4, g=0, d=0), "rank"),
+    (lambda: GrassmannSpec(2, 4, g=-1, d=0), "genus"),
+    (lambda: GrassmannSpec(2, 4, 0, d=-1), "degree"),
+    (lambda: SubsetIndex(indices=(-1, 2)), "nonnegative"),
+    (lambda: ProblemSpec(SPEC, multidegree=(0,), insertions=()), "multidegree"),
+    (lambda: BClassWord(pair_indices=(0,), monomial=()), "pair indices"),
+    (lambda: BClassWord((1,), monomial=(segre(1),)), "Chern"),
+])
+def test_constructors_check_keyword_arguments_too(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_virtual_count_compares_value_flag_and_advisory_only():
+    bare = VirtualCount(Fraction(3), True, PLAIN_TARGET_ADVISORY)
+    assert COUNT == bare and not COUNT != bare and hash(COUNT) == hash(bare)
+    assert {COUNT, bare} == {bare}
+    assert COUNT != VirtualCount(Fraction(4), True, PLAIN_TARGET_ADVISORY, 7, 2)
+    assert COUNT != VirtualCount(Fraction(3), False, PLAIN_TARGET_ADVISORY, 7, 2)
+    assert COUNT != VirtualCount(Fraction(3), True, SEGRE_ADVISORY, 7, 2)
+    assert (COUNT.summands, COUNT.workers, bare.summands, bare.workers) == (7, 2, None, None)
+
+
+def test_mutable_results_do_not_share_their_defaults():
+    first, second = JobResult("grassmannian", True), JobResult("grassmannian", True)
+    first.stats["seconds"] = 1.0
+    first.dims["virtual_dim"] = 3
+    first.blocks["oracle"] = {}
+    first.value = Fraction(3)
+    assert (second.stats, second.dims, second.blocks, second.value) == ({}, {}, {}, None)
+    a, b = QClass(2, 4), QClass(2, 4)
+    a.terms[((), 0)] = 1
+    assert b.terms == {}
