@@ -12,9 +12,15 @@ one place where the smaller field Q[w]/Phi_n enters.
 
 Internally a vector of integers plus a single positive denominator is
 stored, kept reduced (the gcd of the denominator and all numerators is
-1).  Most engine values are integral, so the hot paths stay in pure
-integer arithmetic; the `coeffs` property presents the element as the
-tuple of Fractions the rest of the package reasons about.
+1).  Most values are integral, so the common paths stay in pure integer
+arithmetic; the `coeffs` property presents the element as the tuple of
+Fractions the rest of the package reasons about.
+
+`Cyc` serves the reference evaluator (`vi_engine._Evaluator`), the fold
+of the engine's decoded sum over the Galois group and the reduction
+modulo Phi_n.  The engine's summands themselves are computed packed, as
+integers modulo 2^(K*n) - 1 with w -> 2^K; :func:`balanced_digits`
+turns such an integer back into coefficients.
 
 >>> w = root_of_unity(4, 1)
 >>> (w * w).coeffs
@@ -195,6 +201,32 @@ def _reduced(num: list[int] | tuple[int, ...], den: int) -> tuple[tuple[int, ...
             den //= g
             num = [c // g for c in num]
     return tuple(num), den
+
+
+def balanced_digits(x: int, width: int, n: int) -> tuple[int, ...]:
+    """The integer coefficients of the element of Z[w]/(w^n - 1) packed as x.
+
+    w -> 2^width maps Z[w]/(w^n - 1) onto the integers modulo
+    M = 2^(width*n) - 1 as a ring homomorphism.  Given 0 <= x <= M, this
+    returns the coefficients c_0..c_(n-1), each in
+    [-2^(width-1), 2^(width-1)), whose image is x; they are the
+    element's own when every coefficient of that element is smaller than
+    2^(width-2) in absolute value.  Adding 2^(width-1) to every digit
+    makes them all nonnegative, so they are read off with shifts and masks.
+
+    >>> balanced_digits(3 - 2 * 16 + 1 * 256, 4, 3)
+    (3, -2, 1)
+    >>> balanced_digits(2**12 - 2, 4, 3)  # -1 modulo 2^12 - 1
+    (-1, 0, 0)
+    """
+    bits = width * n
+    m = (1 << bits) - 1
+    half = 1 << (width - 1)
+    y = x + sum(half << (width * k) for k in range(n))
+    if y >= m:
+        y -= m
+    mask = (1 << width) - 1
+    return tuple(((y >> (width * k)) & mask) - half for k in range(n))
 
 
 def zero(n: int) -> Cyc:

@@ -16,9 +16,20 @@ a division:
 
     1/J(I) = n^(-r) * w^(sum of I) * prod over i != j in I of (w^i - w^j).
 
-Each factor w^i - w^k is applied as two rotations and a subtraction, so
-the whole computation stays in exact cyclotomic arithmetic; the finished
+The summands are evaluated packed (Kronecker substitution): w -> 2^K
+maps Z[w]/(w^n - 1) onto the integers modulo 2^(K*n) - 1 as a ring
+homomorphism, so a product by a root is a bit rotation, a factor
+w^i - w^k is two rotations and a subtraction, and an insertion power is
+square-and-multiply with a fold of the high bits onto the low ones.
+K is two bits wider than a proven bound on every coefficient of the
+integer sum (`_coefficient_bound`: C(n, r) times the l1 norms of the
+insertion values and of the weight), so the sum's coefficients decode
+exactly as balanced base-2^K digits, once per job; at genus 0 the packed
+sum carries n^r times the sum, and n^(-r) is applied after decoding.  A
+decoded coefficient above the bound is an internal error.  The decoded
 sum is reduced to a rational number and certified to be an integer.
+`_Evaluator` keeps the same summand in `Cyc` arithmetic as the reference
+for `vi_integral_orbit_reduced`, `j_factor` and the tests.
 
 The sum is folded over the affine group I -> u*I + t (gcd(u, n) = 1)
 acting on exponent subsets.  In top degree a rotation (t) leaves each
@@ -36,8 +47,9 @@ That total is Galois-invariant by construction, so its residue is
 always rational: NotRationalError no longer detects a wrong summand,
 which can instead come out as a wrong integer.  A process pool takes
 the representatives only when each of its processes gets
-SUMMANDS_PER_WORKER or more (`pool_size`); exact arithmetic makes the
-result identical for every worker count.
+SUMMANDS_PER_WORKER or more (`pool_size`); each process returns its
+packed residue, and the residues add up modulo 2^(K*n) - 1 before the
+one decoding, so the result is identical for every worker count.
 """
 
 from __future__ import annotations
@@ -50,8 +62,8 @@ from math import comb, gcd
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import symfunc
-from .cyclotomic import Cyc, extract_rational, one, root_of_unity, zero
-from .errors import DimensionMismatchError, NonIntegralError
+from .cyclotomic import Cyc, balanced_digits, extract_rational, one, root_of_unity, zero
+from .errors import DimensionMismatchError, NonIntegralError, QuotcountError
 from .symfunc import CHERN, SEGRE, Insertion
 
 
@@ -370,13 +382,117 @@ def j_factor(spec: GrassmannSpec, index: SubsetIndex) -> Cyc:
     return _Evaluator(spec, (), ()).j_factor(index.indices)
 
 
-def _weighted_sum(args) -> Cyc:
-    spec, cherns, segres, reps = args
-    ev = _Evaluator(spec, cherns, segres)
-    total = zero(spec.n)
+def _coefficient_bound(spec: GrassmannSpec, cherns, segres) -> int:
+    """A proven bound B on every coefficient of the orbit-weighted sum S.
+
+    The l1 norm ||x|| (the sum of the absolute coefficients) of
+    Z[w]/(w^n - 1) satisfies ||xy|| <= ||x|| ||y||, and a coefficient is
+    at most the l1 norm.  Per summand: e_i of r roots is a sum of
+    C(r, i) roots and h_i one of C(r+i-1, i), so ||e_i|| <= C(r, i) and
+    ||h_i|| <= C(r+i-1, i); a root difference has ||w^a - w^b|| = 2, and
+    J is a product of r*(n-r) of them, while n^r/J at genus 0 is a root
+    times r*(r-1) of them.  The orbit sizes weighting the summands add up
+    to C(n, r).  Hence
+
+        B = C(n, r) * prod C(r, i)^x_i * prod C(r+i-1, i)^y_i * 2^m
+
+    over Chern classes a_i^x_i and Segre classes s_i^y_i, with
+    m = r*(n-r)*(g-1) for g >= 1 and m = r*(r-1) at genus 0, where the
+    packed sum carries n^r * S.
+    """
+    r, n, g = spec.r, spec.n, spec.g
+    bound = comb(n, r)
+    for i, x in cherns:
+        bound *= comb(r, i) ** x
+    for i, y in segres:
+        bound *= comb(r + i - 1, i) ** y
+    return bound << (r * (r - 1) if g == 0 else r * (n - r) * (g - 1))
+
+
+def _packed_sum(job) -> int:
+    """S (times n^r at genus 0) as a residue modulo M = 2^(K*n) - 1.
+
+    w -> 2^K packs Z[w]/(w^n - 1) into the integers modulo M, so a product
+    by w^a is a rotation of K*n-bit words by K*a bits, and products fold
+    the high half back onto the low one (2^(K*n) = 1 modulo M).  Nothing
+    divides a K*n-bit word: CPython divides big integers in quadratic time.
+    Values stay in [0, M].
+    """
+    spec, cherns, segres, reps, width = job
+    n, gm1 = spec.n, spec.g - 1
+    bits = width * n
+    m = (1 << bits) - 1
+
+    def rotate(x: int, a: int) -> int:  # x * w^a for 0 <= a < n
+        s = width * a
+        return ((x << s) & m) | (x >> (bits - s))
+
+    def times(x: int, y: int) -> int:
+        t = x * y
+        t = (t & m) + (t >> bits)
+        return t - m if t >= m else t
+
+    def power(x: int, k: int) -> int:
+        out = 1
+        while k:
+            if k & 1:
+                out = times(out, x)
+            k >>= 1
+            if k:
+                x = times(x, x)
+        return out
+
+    def differences(x: int, subset, others, turn: int = 0) -> int:
+        # x * w^turn * prod (w^i - w^k) = x * w^(turn + sum of i) * prod (1 - w^(k-i))
+        for i in subset:
+            for k in others:
+                if k != i:
+                    t = x - rotate(x, (k - i) % n)
+                    x = t + m if t < 0 else t
+                    turn += i
+        return rotate(x, turn % n)
+
+    top_e = cherns[-1][0] if cherns else 0
+    top_h = segres[-1][0] if segres else 0
+    total = 0
     for subset, weight in reps:
-        total = total + ev.summand(subset).scale(weight)
-    return total
+        acc = 1
+        if top_e:
+            es = [1] + [0] * top_e
+            for filled, a in enumerate(subset, 1):
+                for k in range(min(filled, top_e), 0, -1):
+                    t = es[k] + rotate(es[k - 1], a)
+                    es[k] = t - m if t >= m else t
+            for i, x in cherns:
+                acc = times(acc, power(es[i], x))
+        if top_h:
+            hs = [1] + [0] * top_h
+            for a in subset:
+                for k in range(1, top_h + 1):
+                    t = hs[k] + rotate(hs[k - 1], a)
+                    hs[k] = t - m if t >= m else t
+            for i, y in segres:
+                acc = times(acc, power(hs[i], y))
+        if gm1 < 0:
+            acc = differences(acc, subset, subset, sum(subset))
+        elif gm1:
+            inside = set(subset)
+            others = [k for k in range(n) if k not in inside]
+            if gm1 == 1:
+                acc = differences(acc, subset, others)
+            else:
+                acc = times(acc, power(differences(1, subset, others), gm1))
+        total += weight * acc
+    return _fold(total, bits)
+
+
+def _fold(t: int, bits: int) -> int:
+    """t >= 0 modulo 2^bits - 1, in [0, 2^bits - 1]: the bits above `bits`
+    are added back onto the low ones until none are left."""
+    m = (1 << bits) - 1
+    while t > m:
+        t = (t & m) + (t >> bits)
+    return t
 
 
 def _folded_total(
@@ -384,35 +500,45 @@ def _folded_total(
 ) -> tuple[Cyc, int]:
     """The full subset sum, unreduced, and the number of summands it took.
 
-    S = sum of orbit size * summand(representative) over the affine orbits,
-    split across `workers` processes when there is more than one; the
+    S = sum of orbit size * summand(representative) over the affine orbits
+    is evaluated packed (`_packed_sum`), split across `workers` processes
+    when there is more than one; the residues add up modulo 2^(K*n) - 1
+    and decode once into S, which must respect `_coefficient_bound`.  The
     average of sigma_u(S) over the units u of Z/n is then the sum over
     every subset, exactly in Q[w]/(w^n - 1).
     """
     n = spec.n
     cherns, segres = _grouped(insertions)
+    bound = _coefficient_bound(spec, cherns, segres)
+    width = bound.bit_length() + 2
     reps = affine_orbits(n, spec.r)
-    jobs = [(spec, cherns, segres, reps[w::workers]) for w in range(min(workers, len(reps)))]
+    jobs = [(spec, cherns, segres, reps[w::workers], width) for w in range(min(workers, len(reps)))]
     if len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            parts = list(pool.map(_weighted_sum, jobs))
+            packed = _fold(sum(pool.map(_packed_sum, jobs)), width * n)
     else:
-        parts = [_weighted_sum(jobs[0])]
-    weighted = parts[0]
-    for part in parts[1:]:
-        weighted = weighted + part
+        packed = _packed_sum(jobs[0])
+    coeffs = balanced_digits(packed, width, n)
+    if any(abs(c) > bound for c in coeffs):
+        raise QuotcountError(
+            f"packed sum of {spec} has a coefficient above its proven bound {bound}"
+        )
+    weighted = Cyc(n, coeffs)
     group = _units(n)
     total = weighted
     for u in group[1:]:
         total = total + weighted.galois(u)
-    return total.scale(Fraction(1, len(group))), len(reps)
+    scale = len(group) * (n ** spec.r if spec.g == 0 else 1)
+    return total.scale(Fraction(1, scale)), len(reps)
 
 
-# On a 2-CPU host a 2-process pool lost at 100-120 genus-1 representatives
-# (G(4,24), G(5,20)) and won from about 250 (G(6,21), G(5,24)).
-SUMMANDS_PER_WORKER = 128
+# On a 2-CPU host (medians of 5 alternating repeats, packed summands) a
+# 2-process pool lost at 294 and 870 genus-1 representatives (G(5,24),
+# G(6,24)), lost or won by turns from 2,643 to 5,075 (G(6,30), G(7,28),
+# G(8,26)) and won from 8,708 on (G(7,30), G(8,28)).
+SUMMANDS_PER_WORKER = 4096
 
 
 def pool_size(workers: int, summands: int, cpus: int) -> int:

@@ -6,17 +6,19 @@ from itertools import combinations
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quotcount import vi_engine
 from quotcount.cyclotomic import field_equal, inv_one_minus_root, one, root_of_unity
-from quotcount.errors import DimensionMismatchError
+from quotcount.errors import DimensionMismatchError, QuotcountError
 from quotcount.symfunc import chern, monomial, segre
 from quotcount.vi_engine import (
     SUMMANDS_PER_WORKER,
     Enumerativity,
     GrassmannSpec,
     SubsetIndex,
+    _coefficient_bound,
     _Evaluator,
     _folded_total,
     _grouped,
@@ -122,6 +124,93 @@ def test_folded_total_equals_plain_subset_sum_in_the_ring():
             assert folded == plain_total(spec, ins), (spec, workers)
             assert summands == len(affine_orbits(spec.n, spec.r))
     assert duality_check(duality_spec, duality_ins).equal
+
+
+@st.composite
+def packed_cases(draw):
+    """A valid (spec, insertions) with 1 <= r <= n <= 10 and g <= 3: random
+    Chern, Segre (indices up to n + 2) or mixed factors, padded with
+    hyperplanes to the virtual dimension."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    r = draw(st.integers(min_value=1, max_value=n))
+    g = draw(st.integers(min_value=0, max_value=3))
+    kinds = draw(st.sampled_from(["chern", "segre", "mixed"]))
+    factors = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if kinds == "segre" or (kinds == "mixed" and draw(st.booleans())):
+            factors.append(segre(draw(st.integers(min_value=1, max_value=n + 2))))
+        else:
+            factors.append(chern(draw(st.integers(min_value=1, max_value=r))))
+    base = r * (n - r) * (1 - g)
+    degree = sum(ins.index for ins in factors)
+    pad = (base - degree) % n
+    while degree + pad < base:
+        pad += n
+    d = (degree + pad - base) // n
+    return GrassmannSpec(r, n, g, d), tuple(factors) + hyperplanes(pad)
+
+
+PACKED_EDGES = [
+    (GrassmannSpec(1, 1, 0, 3), hyperplanes(3)),  # n = 1
+    (GrassmannSpec(1, 1, 2, 0), ()),
+    (GrassmannSpec(3, 3, 0, 1), monomial((chern(3), 1))),  # r = n
+    (GrassmannSpec(4, 4, 2, 1), monomial((segre(2), 2))),
+    (GrassmannSpec(2, 5, 1, 0), ()),  # empty insertions
+    (GrassmannSpec(3, 6, 1, 0), ()),
+]
+
+
+def _with_edges(test):
+    for case in PACKED_EDGES:
+        test = example(case=case)(test)
+    return test
+
+
+@settings(max_examples=40, deadline=None)
+@_with_edges
+@given(case=packed_cases())
+def test_packed_sum_equals_the_evaluator_subset_sum(case):
+    spec, ins = case
+    ins = _validate(spec, ins)
+    folded, _ = _folded_total(spec, ins, 1)
+    assert folded == plain_total(spec, ins)
+
+
+@settings(max_examples=40, deadline=None)
+@_with_edges
+@given(case=packed_cases())
+def test_coefficient_bound_holds_on_the_exact_sum(case):
+    spec, ins = case
+    ins = _validate(spec, ins)
+    scale = spec.n ** spec.r if spec.g == 0 else 1
+    coeffs = [c * scale for c in plain_total(spec, ins).coeffs]
+    assert all(c.denominator == 1 for c in coeffs)
+    assert max(abs(c) for c in coeffs) <= _coefficient_bound(spec, *_grouped(ins))
+
+
+def test_a_coefficient_above_the_bound_is_an_internal_error(monkeypatch, tmp_path):
+    import io
+    import json
+
+    from quotcount.cli import EXIT_INTERNAL, run_batch
+
+    # The true largest coefficient of this sum is 240; its proven bound is 960.
+    spec, ins = GrassmannSpec(2, 6, 1, 1), hyperplanes(6)
+    assert _coefficient_bound(spec, *_grouped(ins)) == 960
+    monkeypatch.setattr(vi_engine, "_coefficient_bound", lambda *args: 100)
+    with pytest.raises(QuotcountError):
+        vi_integral(spec, ins)
+    path = tmp_path / "jobs.jsonl"
+    path.write_text(
+        '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 6, "ins": "a1:6"}\n'
+        '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:3"}\n'
+    )
+    buffer = io.StringIO()
+    code = run_batch(str(path), out=buffer)
+    rows = [json.loads(line) for line in buffer.getvalue().splitlines()]
+    assert rows[0]["error"]["exit"] == EXIT_INTERNAL
+    assert rows[1]["ok"] is True and rows[1]["value"]["exact"] == "3"
+    assert rows[2]["internal_errors"] == 1 and code == EXIT_INTERNAL
 
 
 def test_affine_orbits_are_cached_as_a_bounded_tuple():
@@ -435,6 +524,9 @@ def test_small_sum_with_many_workers_starts_no_process(monkeypatch):
 
 
 def test_engine_caps_workers_at_the_cpus_it_may_use(monkeypatch):
+    # A lower threshold than the engine's, so this small sum gets a pool.
+    SUMMANDS_PER_WORKER = 128
+    monkeypatch.setattr(vi_engine, "SUMMANDS_PER_WORKER", SUMMANDS_PER_WORKER)
     spec, ins = GrassmannSpec(5, 24, 1, 1), hyperplanes(24)
     assert len(affine_orbits(24, 5)) // SUMMANDS_PER_WORKER == 2
     serial = vi_integral(spec, ins)
