@@ -2,10 +2,11 @@
 
 The package evaluates top intersections over the compactified space of
 degree-d maps from a genus-g curve to G(r, n) as finite sums over
-subsets of n-th roots of unity, entirely in exact cyclotomic arithmetic,
-and layers on top the prefactor calculus for hypersurface and
-complete-intersection targets, closed-form specializations, a genus-0
-quantum-ring oracle, and a CLI.
+subsets of n-th roots of unity, in exact integer and rational arithmetic
+(each count is a field trace, so NotRationalError cannot fire on the
+engine path), and layers on top the prefactor calculus for hypersurface
+and complete-intersection targets, closed-form specializations, a
+genus-0 quantum-ring oracle, and a CLI.
 """
 
 from .cyclotomic import (

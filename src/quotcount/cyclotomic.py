@@ -7,8 +7,8 @@ zero divisors, but the counting formulas never divide in it: their
 genus-0 weight is a product of root differences times n^(-r), and
 :func:`inv_one_minus_root` remains for field inverses outside the engine.
 Rationality of a finished sum is decided by reduction modulo the n-th
-cyclotomic polynomial (the minimal polynomial of a primitive root), the
-one place where the smaller field Q[w]/Phi_n enters.
+cyclotomic polynomial (the minimal polynomial of a primitive root), so
+the smaller field Q[w]/Phi_n enters only there.
 
 Internally a vector of integers plus a single positive denominator is
 stored, kept reduced (the gcd of the denominator and all numerators is
@@ -16,11 +16,11 @@ stored, kept reduced (the gcd of the denominator and all numerators is
 arithmetic; the `coeffs` property presents the element as the tuple of
 Fractions the rest of the package reasons about.
 
-`Cyc` serves the reference evaluator (`vi_engine._Evaluator`), the fold
-of the engine's decoded sum over the Galois group and the reduction
-modulo Phi_n.  The engine's summands themselves are computed packed, as
-integers modulo 2^(K*n) - 1 with w -> 2^K; :func:`balanced_digits`
-turns such an integer back into coefficients.
+`Cyc` serves the reference evaluator (`vi_engine._Evaluator`) and its
+reduction modulo Phi_n.  The engine builds no `Cyc`: it packs summands
+as integers modulo 2^(K*n) - 1 with w -> 2^K, decodes the sum with
+:func:`balanced_digits` and reads the count off as a field trace, so
+NotRationalError cannot fire on the engine path.
 
 >>> w = root_of_unity(4, 1)
 >>> (w * w).coeffs

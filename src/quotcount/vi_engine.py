@@ -25,9 +25,8 @@ K is two bits wider than a proven bound on every coefficient of the
 integer sum (`_coefficient_bound`: C(n, r) times the l1 norms of the
 insertion values and of the weight), so the sum's coefficients decode
 exactly as balanced base-2^K digits, once per job; at genus 0 the packed
-sum carries n^r times the sum, and n^(-r) is applied after decoding.  A
-decoded coefficient above the bound is an internal error.  The decoded
-sum is reduced to a rational number and certified to be an integer.
+sum carries n^r times the sum, and n^(-r) is applied with the trace
+below.  A decoded coefficient above the bound is an internal error.
 `_Evaluator` keeps the same summand in `Cyc` arithmetic as the reference
 for `vi_integral_orbit_reduced`, `j_factor` and the tests.
 
@@ -37,16 +36,18 @@ summand unchanged exactly, and a unit u maps it by the ring automorphism
 sigma_u: w -> w^u.  Subsets are therefore visited as binary necklaces
 (least rotations, generated by a density-pruned FKM recursion), necklaces
 that a unit maps onto each other are merged, and one summand is evaluated
-per affine orbit, weighted by the orbit's size.  Averaging sigma_u over
-the units of Z/n turns that weighted sum S into the full subset sum,
+per affine orbit, weighted by the orbit's size.  The full subset sum
+is the average of sigma_u(S) over the units u of Z/n for that weighted
+sum S, which at a primitive root zeta is the field trace of S over
+phi(n).  So the count is read off the decoded coefficients S_k as
 
-    sum over I of summand(I) = (1/phi(n)) * sum over u of sigma_u(S),
+    sign * (sum of S_k * c_n(k)) / (phi(n) * [n^r at genus 0]),
 
-as an element of Q[w]/(w^n - 1), before any reduction modulo Phi_n.
-That total is Galois-invariant by construction, so its residue is
-always rational: NotRationalError no longer detects a wrong summand,
-which can instead come out as a wrong integer.  A process pool takes
-the representatives only when each of its processes gets
+with c_n(k), Ramanujan's sum, the trace of zeta^k (`_ramanujan`); the
+certificate is that the denominator divides the integer sum.  A trace
+is rational by construction, so NotRationalError cannot fire on this
+path, and a wrong summand can come out as a wrong integer.  A process
+pool takes the representatives only when each of its processes gets
 SUMMANDS_PER_WORKER or more (`pool_size`); each process returns its
 packed residue, and the residues add up modulo 2^(K*n) - 1 before the
 one decoding, so the result is identical for every worker count.
@@ -59,6 +60,7 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import symfunc
@@ -166,33 +168,10 @@ class SubsetIndex(NamedTuple("SubsetIndex", [("indices", tuple[int, ...])])):
 
 # -- colexicographic subset enumeration ------------------------------------
 
-def subset_rank_colex(subset: Sequence[int]) -> int:
-    return sum(comb(s, t + 1) for t, s in enumerate(subset))
-
-
-def subset_unrank_colex(rank: int, r: int) -> tuple[int, ...]:
-    out = []
-    for t in range(r, 0, -1):
-        s = t - 1
-        while comb(s + 1, t) <= rank:
-            s += 1
-        out.append(s)
-        rank -= comb(s, t)
-    return tuple(reversed(out))
-
-
-def iter_colex(n: int, r: int, start: int = 0, stop: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """Yield r-subsets of {0..n-1} with colex ranks in [start, stop)."""
-    total = comb(n, r)
-    if stop is None or stop > total:
-        stop = total
-    if start >= stop:
-        return
-    if r == 0:
-        yield ()
-        return
-    cur = list(subset_unrank_colex(start, r))
-    for _ in range(stop - start):
+def iter_colex(n: int, r: int) -> Iterator[tuple[int, ...]]:
+    """Yield the r-subsets of {0..n-1} in colex order."""
+    cur = list(range(r))
+    for _ in range(comb(n, r)):
         yield tuple(cur)
         for t in range(r):
             limit = cur[t + 1] if t + 1 < r else n
@@ -361,10 +340,12 @@ def _sign(spec: GrassmannSpec) -> int:
 
 
 def _finalize(
-    spec: GrassmannSpec, total: Cyc, insertions: Sequence[Insertion],
+    spec: GrassmannSpec, total: Fraction, insertions: Sequence[Insertion],
     summands: Optional[int] = None, workers: Optional[int] = None,
 ) -> VirtualCount:
-    value = extract_rational(total) * _sign(spec)
+    """Sign the subset sum `total` and certify it as an integer: on the engine
+    path, that phi(n) * [n^r at genus 0] divides the trace sum."""
+    value = total * _sign(spec)
     if value.denominator != 1:
         raise NonIntegralError(f"virtual count came out non-integral: {value}")
     advisory = (
@@ -497,15 +478,13 @@ def _fold(t: int, bits: int) -> int:
 
 def _folded_total(
     spec: GrassmannSpec, insertions: Sequence[Insertion], workers: int
-) -> tuple[Cyc, int]:
-    """The full subset sum, unreduced, and the number of summands it took.
+) -> tuple[tuple[int, ...], int]:
+    """The coefficients of S (times n^r at genus 0) and the number of summands.
 
     S = sum of orbit size * summand(representative) over the affine orbits
     is evaluated packed (`_packed_sum`), split across `workers` processes
     when there is more than one; the residues add up modulo 2^(K*n) - 1
-    and decode once into S, which must respect `_coefficient_bound`.  The
-    average of sigma_u(S) over the units u of Z/n is then the sum over
-    every subset, exactly in Q[w]/(w^n - 1).
+    and decode once into S, which must respect `_coefficient_bound`.
     """
     n = spec.n
     cherns, segres = _grouped(insertions)
@@ -525,13 +504,24 @@ def _folded_total(
         raise QuotcountError(
             f"packed sum of {spec} has a coefficient above its proven bound {bound}"
         )
-    weighted = Cyc(n, coeffs)
-    group = _units(n)
-    total = weighted
-    for u in group[1:]:
-        total = total + weighted.galois(u)
-    scale = len(group) * (n ** spec.r if spec.g == 0 else 1)
-    return total.scale(Fraction(1, scale)), len(reps)
+    return coeffs, len(reps)
+
+
+@lru_cache(maxsize=64)
+def _ramanujan(n: int) -> tuple[int, ...]:
+    """Ramanujan's sums c_n(k) for k in [0, n): the traces of zeta^k, zeta a
+    primitive n-th root, from c_n(k) = mu(m) * phi(n) / phi(m) with
+    m = n / gcd(n, k).  c_n(0) is phi(n).
+
+    >>> _ramanujan(12)
+    (4, 0, 2, 0, -2, 0, -4, 0, -2, 0, 2, 0)
+    """
+    mobius: dict[int, int] = {}
+    for m in range(1, n + 1):
+        if n % m == 0:  # sum of mu(d) over the divisors d of m is [m == 1]
+            mobius[m] = 1 if m == 1 else -sum(v for d, v in mobius.items() if m % d == 0)
+    phi = len(_units(n))
+    return tuple(mobius[m] * phi // len(_units(m)) for m in (n // gcd(n, k) for k in range(n)))
 
 
 # On a 2-CPU host (medians of 5 alternating repeats, packed summands) a
@@ -555,7 +545,10 @@ def vi_integral(spec: GrassmannSpec, insertions: Iterable[Insertion], workers: i
     affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     used = pool_size(workers, len(affine_orbits(spec.n, spec.r)), cpus)
-    total, summands = _folded_total(spec, insertions, used)
+    coeffs, summands = _folded_total(spec, insertions, used)
+    traces = _ramanujan(spec.n)
+    scale = traces[0] * (spec.n ** spec.r if spec.g == 0 else 1)  # phi(n) * [n^r at genus 0]
+    total = Fraction(sum(map(mul, coeffs, traces)), scale)
     return _finalize(spec, total, insertions, summands, used)
 
 
@@ -576,7 +569,7 @@ def vi_integral_orbit_reduced(spec: GrassmannSpec, insertions: Iterable[Insertio
         if min(orbit, key=lambda t: t[::-1]) != subset:
             continue
         total = total + ev.summand(subset).scale(len(orbit))
-    return _finalize(spec, total, insertions)
+    return _finalize(spec, extract_rational(total), insertions)
 
 
 def vi_integral_parallel(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 
@@ -10,8 +11,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quotcount import vi_engine
-from quotcount.cyclotomic import field_equal, inv_one_minus_root, one, root_of_unity
-from quotcount.errors import DimensionMismatchError, QuotcountError
+from quotcount.cyclotomic import (
+    Cyc,
+    extract_rational,
+    field_equal,
+    inv_one_minus_root,
+    one,
+    root_of_unity,
+    zero,
+)
+from quotcount.errors import DimensionMismatchError, NonIntegralError, QuotcountError
 from quotcount.symfunc import chern, monomial, segre
 from quotcount.vi_engine import (
     SUMMANDS_PER_WORKER,
@@ -22,6 +31,8 @@ from quotcount.vi_engine import (
     _Evaluator,
     _folded_total,
     _grouped,
+    _ramanujan,
+    _sign,
     _validate,
     affine_orbits,
     duality_check,
@@ -29,8 +40,6 @@ from quotcount.vi_engine import (
     j_factor,
     necklaces,
     pool_size,
-    subset_rank_colex,
-    subset_unrank_colex,
     vi_integral,
     vi_integral_orbit_reduced,
     vi_integral_parallel,
@@ -47,18 +56,7 @@ def test_colex_order_matches_reversed_lex():
     for n, r in ((5, 2), (6, 3), (7, 1), (4, 4)):
         expected = sorted(combinations(range(n), r), key=lambda t: t[::-1])
         assert list(iter_colex(n, r)) == expected
-
-
-def test_colex_rank_unrank_roundtrip():
-    for n, r in ((6, 3), (8, 4)):
-        for rank, subset in enumerate(iter_colex(n, r)):
-            assert subset_rank_colex(subset) == rank
-            assert subset_unrank_colex(rank, r) == subset
-
-
-def test_colex_range_blocks():
-    whole = list(iter_colex(7, 3))
-    assert whole == list(iter_colex(7, 3, 0, 12)) + list(iter_colex(7, 3, 12))
+    assert list(iter_colex(3, 0)) == [()]
 
 
 # -- necklaces and affine orbits -------------------------------------------
@@ -100,6 +98,20 @@ def plain_total(spec, ins):
     return total
 
 
+def galois_average(spec, ins, workers):
+    """The engine's decoded S averaged over sigma_u for the units u of Z/n,
+    over n^r at genus 0: the full subset sum as a ring element, with the
+    number of summands S took."""
+    coeffs, summands = _folded_total(spec, ins, workers)
+    n = spec.n
+    weighted = Cyc(n, coeffs)
+    units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
+    total = zero(n)
+    for u in units:
+        total = total + weighted.galois(u)
+    return total.scale(Fraction(1, len(units) * (n ** spec.r if spec.g == 0 else 1))), summands
+
+
 def test_folded_total_equals_plain_subset_sum_in_the_ring():
     from quotcount.twist import ProblemSpec, _boost
 
@@ -120,7 +132,7 @@ def test_folded_total_equals_plain_subset_sum_in_the_ring():
     for spec, ins in cases:
         ins = _validate(spec, ins)
         for workers in (1, 2):
-            folded, summands = _folded_total(spec, ins, workers)
+            folded, summands = galois_average(spec, ins, workers)
             assert folded == plain_total(spec, ins), (spec, workers)
             assert summands == len(affine_orbits(spec.n, spec.r))
     assert duality_check(duality_spec, duality_ins).equal
@@ -172,8 +184,10 @@ def _with_edges(test):
 def test_packed_sum_equals_the_evaluator_subset_sum(case):
     spec, ins = case
     ins = _validate(spec, ins)
-    folded, _ = _folded_total(spec, ins, 1)
-    assert folded == plain_total(spec, ins)
+    folded, _ = galois_average(spec, ins, 1)
+    plain = plain_total(spec, ins)
+    assert folded == plain
+    assert vi_integral(spec, ins).value == _sign(spec) * extract_rational(plain)
 
 
 @settings(max_examples=40, deadline=None)
@@ -211,6 +225,41 @@ def test_a_coefficient_above_the_bound_is_an_internal_error(monkeypatch, tmp_pat
     assert rows[0]["error"]["exit"] == EXIT_INTERNAL
     assert rows[1]["ok"] is True and rows[1]["value"]["exact"] == "3"
     assert rows[2]["internal_errors"] == 1 and code == EXIT_INTERNAL
+
+
+def test_ramanujan_sums_are_the_traces_of_the_roots():
+    for n in range(1, 31):
+        units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
+        for k in range(n):
+            trace = zero(n)
+            for u in units:
+                trace = trace + root_of_unity(n, u * k)
+            assert _ramanujan(n)[k] == extract_rational(trace), (n, k)
+
+
+@pytest.mark.parametrize("spec, ins, value", [
+    # Both counts are 55; c_5(1) = -1 moves the trace by -1 over phi(5) * [5^2].
+    (GrassmannSpec(2, 5, 0, 1), hyperplanes(11), "5501/100"),
+    (GrassmannSpec(2, 5, 1, 1), hyperplanes(5), "221/4"),
+])
+def test_the_certificate_refuses_a_wrong_sum(monkeypatch, spec, ins, value):
+    from quotcount.cli import EXIT_INTERNAL, JobRequest, run
+
+    decode = vi_engine.balanced_digits
+
+    def off_by_one(*args):
+        coeffs = list(decode(*args))
+        coeffs[1] += 1  # one more w than the true sum has
+        return tuple(coeffs)
+
+    monkeypatch.setattr(vi_engine, "balanced_digits", off_by_one)
+    with pytest.raises(NonIntegralError, match=f"non-integral: {value}$"):
+        vi_integral(spec, ins)
+    result = run(JobRequest(mode="grassmannian", g=spec.g, d=spec.d, r=spec.r, n=spec.n,
+                            insertions=(("chern", 1, len(ins)),)))
+    assert result.ok is False
+    assert result.error["type"] == "NonIntegralError"
+    assert result.error["exit"] == EXIT_INTERNAL
 
 
 def test_affine_orbits_are_cached_as_a_bounded_tuple():
@@ -494,9 +543,10 @@ def test_parallel_matches_serial_on_random_specs(n, data):
     for workers in (1, 2, 3):
         assert vi_integral_parallel(spec, ins, workers).value == reference, workers
     # These sums are too small for the policy to start a pool; drive one directly.
-    folded, _ = _folded_total(spec, ins, 1)
+    # Equal decoded sums S give equal galois_average values, and more.
+    serial = _folded_total(spec, ins, 1)
     for workers in (2, 3):
-        assert _folded_total(spec, ins, workers)[0] == folded, workers
+        assert _folded_total(spec, ins, workers) == serial, workers
 
 
 def test_pool_size_policy_at_its_boundaries():
