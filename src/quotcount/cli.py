@@ -63,6 +63,8 @@ class JobResult:
                  stats: Optional[dict] = None, error: Optional[dict] = None):
         self.mode = mode  # None on a batch line that is not a request
         self.ok, self.value, self.is_integer, self.advisory = ok, value, is_integer, advisory
+        # the record's value block; run() builds it where a failure is caught
+        self.value_fields = None if value is None else _value_fields(value)
         self.dims = {} if dims is None else dims
         # the mode's own report: paths, duality, oracle or tevelev
         self.blocks = {} if blocks is None else blocks
@@ -71,8 +73,8 @@ class JobResult:
 
     def to_dict(self) -> dict:
         out: dict = {"schema": SCHEMA, "mode": self.mode, "ok": self.ok}
-        if self.value is not None:
-            out["value"] = _value_fields(self.value)
+        if self.value_fields is not None:
+            out["value"] = self.value_fields
             out["is_integer"] = self.is_integer
         if self.advisory is not None:
             out["advisory"] = {"status": self.advisory.status.value, "reason": self.advisory.reason}
@@ -272,6 +274,8 @@ def run(req: JobRequest) -> JobResult:
         if req.mode not in MODES:
             raise ValueError(f"unknown mode {req.mode!r}")
         count = RUNNERS[req.mode](req, insertions, result)
+        # str() refuses a count too long to print with ValueError: a record of its own
+        result.value_fields = _value_fields(count.value)
         result.value, result.is_integer, result.advisory = (
             count.value, count.is_integer, count.advisory)
     except (*VALIDATION_ERRORS, QuotcountError, ZeroDivisionError) as exc:

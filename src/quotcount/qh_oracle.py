@@ -22,8 +22,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .errors import DimensionMismatchError, QuotcountError
-from .symfunc import CHERN, Insertion, weighted_degree
+from .errors import QuotcountError
+from .symfunc import CHERN, Insertion, check_degree
 
 
 class Partition(NamedTuple("Partition", [("parts", tuple[int, ...])])):
@@ -177,12 +177,7 @@ def fixed_domain_count_g0(r: int, n: int, d: int, insertions: Iterable[Insertion
     insertions = tuple(insertions)
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    expected = d * n + r * (n - r)
-    degree = weighted_degree(insertions)
-    if degree != expected:
-        raise DimensionMismatchError(
-            f"insertion degree {degree} != genus-0 virtual dimension {expected}"
-        )
+    check_degree(insertions, d * n + r * (n - r), "genus-0 virtual dimension")
     if r == n:
         # Point target: a single constant map, no conditions to impose.
         if d == 0:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .cyclotomic import Cyc, one, zero
+from .errors import DimensionMismatchError
 
 CHERN = "chern"
 SEGRE = "segre"
@@ -51,6 +52,13 @@ def monomial(*pairs: tuple[Insertion, int]) -> tuple[Insertion, ...]:
 
 def weighted_degree(insertions: Iterable[Insertion]) -> int:
     return sum(ins.index for ins in insertions)
+
+
+def check_degree(insertions: Iterable[Insertion], expected: int, what: str) -> None:
+    """Refuse insertions whose degree is not `expected`, the `what` they must fill."""
+    degree = weighted_degree(insertions)
+    if degree != expected:
+        raise DimensionMismatchError(f"{what} is {expected}, but the insertion degree is {degree}")
 
 
 def elementary_prefix(tup: Sequence[Cyc], kmax: int) -> list[Cyc]:

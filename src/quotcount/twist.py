@@ -17,8 +17,13 @@ dimension constraints in force every in-regime problem on a proper
 Grassmannian in fact has d >= g, so the truncation is never visible.
 
 Closed forms for projective targets and for the Lagrangian section of
-G(2, 4) are provided as pure arithmetic (no engine call), together with
-the fixed-point-count comparison and the enumerativity advisor.
+G(2, 4), and the fixed-point-count comparison, compute their values as
+pure arithmetic (no engine call).  Each states its target as a
+ProblemSpec, so its genus, degree, rank and multidegree are checked as
+that spec is built, and its advisory comes from the one enumerativity
+advisor; the Lagrangian form also runs the regime and insertion-degree
+checks of the engine-backed section counts.  An integer result is
+certified by `vi_engine.certified`, the engine's own certificate.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import DimensionMismatchError, NonIntegralError, RegimeViolationError
-from .symfunc import CHERN, SEGRE, Insertion, chern, weighted_degree
+from .errors import DimensionMismatchError, RegimeViolationError
+from .symfunc import CHERN, SEGRE, Insertion, check_degree, chern, monomial
 from .vi_engine import (
     Advisory,
     Enumerativity,
@@ -36,6 +41,7 @@ from .vi_engine import (
     PLAIN_TARGET_ADVISORY,
     SEGRE_ADVISORY,
     VirtualCount,
+    certified,
     vi_integral,
 )
 
@@ -69,33 +75,26 @@ class ProblemSpec(NamedTuple("ProblemSpec", [
         return all(b.d * l > 2 * b.g - 2 for l in self.multidegree)
 
 
-def _check_regime(spec: ProblemSpec) -> None:
+def _check_section(spec: ProblemSpec) -> None:
+    """A section count's preconditions: the regime, then the insertion degree."""
     if not spec.in_regime:
         b = spec.base
         raise RegimeViolationError(
             f"need d*l > 2g-2 for every section degree (d={b.d}, g={b.g}, "
             f"multidegree={spec.multidegree})"
         )
-
-
-def _check_dimension(spec: ProblemSpec) -> None:
-    degree = weighted_degree(spec.insertions)
-    if degree != spec.twisted_dim:
-        raise DimensionMismatchError(
-            f"insertion degree {degree} != twisted virtual dimension {spec.twisted_dim}"
-        )
+    check_degree(spec.insertions, spec.twisted_dim, "twisted virtual dimension")
 
 
 def _boost(spec: ProblemSpec) -> tuple[GrassmannSpec, tuple[Insertion, ...]]:
+    """The base target with one extra Chern(1) per unit of dimension the sections cut."""
     b = spec.base
-    extra = sum(b.d * l - b.g + 1 for l in spec.multidegree)
-    return b, spec.insertions + (chern(1),) * extra
+    return b, spec.insertions + (chern(1),) * (b.virtual_dim - spec.twisted_dim)
 
 
 def _boosted_value(spec: ProblemSpec, workers: int) -> Fraction:
     """The plain count with the boosted insertions, after the spec's checks."""
-    _check_regime(spec)
-    _check_dimension(spec)
+    _check_section(spec)
     return vi_integral(*_boost(spec), workers).value
 
 
@@ -125,12 +124,6 @@ def _one_degree(spec: ProblemSpec, what: str) -> None:
         raise ValueError(f"{what} expects exactly one section degree")
 
 
-def _certified(value: Fraction, advisory: Advisory) -> VirtualCount:
-    if value.denominator != 1:
-        raise NonIntegralError(f"twisted count came out non-integral: {value}")
-    return VirtualCount(value, True, advisory)
-
-
 def _flagged(value: Fraction, advisory: Advisory) -> VirtualCount:
     """A count reported with an honest integrality flag instead of a certificate."""
     return VirtualCount(value, value.denominator == 1, advisory)
@@ -145,7 +138,7 @@ def hypersurface_integral(spec: ProblemSpec, workers: int = 1) -> VirtualCount:
 def complete_intersection_integral(spec: ProblemSpec, workers: int = 1) -> VirtualCount:
     """Count on a multidegree section; with one factor this is the hypersurface case."""
     value = _boosted_value(spec, workers) * _closed_scalar(spec)
-    return _certified(value, enumerativity_advisor(spec))
+    return certified(value, enumerativity_advisor(spec))
 
 
 def hypersurface_integral_via_phi_expansion(spec: ProblemSpec, workers: int = 1) -> VirtualCount:
@@ -165,7 +158,7 @@ def hypersurface_both_paths(spec: ProblemSpec, workers: int = 1) -> tuple[Virtua
     _one_degree(spec, "path comparison")
     raw = _boosted_value(spec, workers)
     advisory = enumerativity_advisor(spec)
-    closed = _certified(raw * _closed_scalar(spec), advisory)
+    closed = certified(raw * _closed_scalar(spec), advisory)
     phi = _flagged(raw * _phi_scalar(spec), advisory)
     return closed, phi, closed.value == phi.value
 
@@ -200,39 +193,18 @@ def reduce_b_classes(word: BClassWord, base: GrassmannSpec, workers: int = 1) ->
     s = len(word.pair_indices)
     if any(j > base.g for j in word.pair_indices):
         raise ValueError("pair indices must lie in [1, g]")
-    degree = weighted_degree(word.monomial)
-    if degree != base.virtual_dim - s:
-        raise DimensionMismatchError(
-            f"trailing monomial degree {degree} != virtual dimension minus s "
-            f"({base.virtual_dim} - {s})"
-        )
+    check_degree(word.monomial, base.virtual_dim - s, f"virtual dimension minus {s} (the pair count)")
     if len(set(word.pair_indices)) < s or s > base.d:
         return VirtualCount(Fraction(0), True, B_WORD_ADVISORY)
     boosted = word.monomial + (chern(1),) * s
     raw = vi_integral(base, boosted, workers).value
-    return _certified(raw / Fraction(base.n) ** s, B_WORD_ADVISORY)
+    return certified(raw / Fraction(base.n) ** s, B_WORD_ADVISORY)
 
 
-def _projective_advisory(g: int, d: int, r: int, multidegree: Sequence[int]) -> Advisory:
-    if any(d * l <= 2 * g - 2 for l in multidegree):
-        return Advisory(
-            Enumerativity.OUT_OF_REGIME,
-            "d*l <= 2g-2 for some section degree; the count is outside the "
-            "regime where the section data forms a bundle",
-        )
-    total = sum(multidegree)
-    bound_ok = total < r if len(multidegree) == 1 else total <= r
-    if bound_ok:
-        return Advisory(Enumerativity.ENUMERATIVE_IF_WEAKLY_CONVEX, LARGE_D_NOTE)
-    return Advisory(
-        Enumerativity.VIRTUAL_ONLY,
-        "hyperplane insertions violate the codimension bound for this multidegree",
-    )
-
-
-def _check_genus_degree(g: int, d: int) -> None:
-    if g < 0 or d < 0:
-        raise ValueError("genus and degree must be nonnegative")
+def _projective(g: int, d: int, r: int, multidegree: Sequence[int]) -> ProblemSpec:
+    """A section of G(r, r+1) = P^r cut by hyperplane conditions, for the checks
+    and the advisory of its closed forms."""
+    return ProblemSpec(GrassmannSpec(r, r + 1, g, d), tuple(multidegree), (chern(1),))
 
 
 def closed_form_projective(g: int, d: int, r: int, multidegree: Sequence[int]) -> VirtualCount:
@@ -240,33 +212,23 @@ def closed_form_projective(g: int, d: int, r: int, multidegree: Sequence[int]) -
 
     Pure arithmetic; nonzero only when sum of degrees is at most r.
     """
-    _check_genus_degree(g, d)
-    multidegree = tuple(multidegree)
-    if any(l < 1 for l in multidegree):
-        raise ValueError("multidegree entries must be positive integers")
-    value = Fraction(1)
-    for l in multidegree:
+    spec = _projective(g, d, r, multidegree)
+    value = Fraction(r + 1 - sum(spec.multidegree)) ** g
+    for l in spec.multidegree:
         value *= Fraction(l) ** (d * l - g + 1)
-    value *= Fraction(r + 1 - sum(multidegree)) ** g
-    return _flagged(value, _projective_advisory(g, d, r, multidegree))
+    return _flagged(value, enumerativity_advisor(spec))
 
 
 def closed_form_lg24(g: int, d: int, m1: int, m2: int) -> VirtualCount:
     """2^(2d-m2-g+1) * 3^g for the Lagrangian section of G(2, 4).
 
-    Requires m1 + 2*m2 = 3*(d - g + 1) and d > 2g - 2.
+    The spec is the degree-1 section of G(2, 4) with a_1^m1 a_2^m2, so it
+    requires d > 2g - 2 and m1 + 2*m2 = 3*(d - g + 1), its twisted dimension.
     """
-    _check_genus_degree(g, d)
-    if m1 < 0 or m2 < 0:
-        raise ValueError("insertion exponents must be nonnegative")
-    if d <= 2 * g - 2:
-        raise RegimeViolationError(f"need d > 2g-2 (d={d}, g={g})")
-    if m1 + 2 * m2 != 3 * (d - g + 1):
-        raise DimensionMismatchError(
-            f"m1 + 2*m2 = {m1 + 2 * m2} != 3*(d-g+1) = {3 * (d - g + 1)}"
-        )
+    spec = ProblemSpec(GrassmannSpec(2, 4, g, d), (1,), monomial((chern(1), m1), (chern(2), m2)))
+    _check_section(spec)
     value = Fraction(2) ** (2 * d - m2 - g + 1) * 3**g
-    return _flagged(value, Advisory(Enumerativity.ENUMERATIVE_IF_WEAKLY_CONVEX, LARGE_D_NOTE))
+    return _flagged(value, enumerativity_advisor(spec))
 
 
 class TevelevComparison(NamedTuple):
@@ -283,10 +245,10 @@ def tevelev_compare(g: int, d: int, r: int, l: int, t: Optional[int] = None) -> 
     Q = l^(d*l-g+1-t) * (r+1-l)^g with t = e_l/(r-1) conditions; the implied
     count is expected integral when 3 <= l <= r/2 + 1 and g + t >= 2.
     """
-    _check_genus_degree(g, d)
-    if r < 2 or l < 1:
-        raise ValueError("point conditions need r >= 2 and a section degree l >= 1")
-    e_l = d * (r + 1 - l) + (1 - g) * (r - 1)
+    spec = _projective(g, d, r, (l,))
+    if r < 2:
+        raise ValueError("point conditions need r >= 2")
+    e_l = spec.twisted_dim
     quotient, remainder = divmod(e_l, r - 1)
     if remainder != 0 or quotient < 1:
         raise DimensionMismatchError(
@@ -297,7 +259,7 @@ def tevelev_compare(g: int, d: int, r: int, l: int, t: Optional[int] = None) -> 
     elif t != quotient:
         raise DimensionMismatchError(f"t={t} inconsistent with e_l/(r-1)={quotient}")
     q_value = Fraction(l) ** (d * l - g + 1 - t) * Fraction(r + 1 - l) ** g
-    q_count = _flagged(q_value, _projective_advisory(g, d, r, (l,)))
+    q_count = _flagged(q_value, enumerativity_advisor(spec))
     implied = Fraction(factorial(l), l**l) ** t * q_value
     return TevelevComparison(q_count, implied, implied.denominator == 1, t)
 

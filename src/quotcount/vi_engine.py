@@ -65,7 +65,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import symfunc
 from .cyclotomic import Cyc, balanced_digits, extract_rational, one, root_of_unity, zero
-from .errors import DimensionMismatchError, NonIntegralError, QuotcountError
+from .errors import NonIntegralError, QuotcountError
 from .symfunc import CHERN, SEGRE, Insertion
 
 
@@ -106,9 +106,7 @@ class VirtualCount(NamedTuple):
     workers: Optional[int] = None
 
     def as_integer(self) -> int:
-        if not self.is_integer:
-            raise NonIntegralError(f"count {self.value} is not an integer")
-        return int(self.value)
+        return int(certified(self.value, self.advisory).value)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VirtualCount):
@@ -120,6 +118,15 @@ class VirtualCount(NamedTuple):
 
     def __hash__(self) -> int:
         return hash(self[:3])
+
+
+def certified(
+    value: Fraction, advisory: Advisory, summands: Optional[int] = None, workers: Optional[int] = None,
+) -> VirtualCount:
+    """`value` as a count certified to be an integer; NonIntegralError if it is not."""
+    if value.denominator != 1:
+        raise NonIntegralError(f"count came out non-integral: {value}")
+    return VirtualCount(value, True, advisory, summands, workers)
 
 
 class GrassmannSpec(NamedTuple("GrassmannSpec", [("r", int), ("n", int), ("g", int), ("d", int)])):
@@ -239,17 +246,17 @@ def affine_orbits(n: int, r: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     its representative is the least of those necklaces.  Cached per
     (n, r), so the result is a tuple.
     """
-    found = necklaces(n, r)
-    period = dict(found)
     seen: set[tuple[int, ...]] = set()
     group = _units(n)
     reps = []
-    for subset, _ in found:
+    for subset, period in necklaces(n, r):
         if subset in seen:
             continue
         images = {_least_rotation([u * a % n for a in subset], n) for u in group}
         seen.update(images)
-        reps.append((subset, sum(period[m] for m in images)))
+        # A unit carries the rotations fixing I onto those fixing u*I, so
+        # every image necklace has the representative's period.
+        reps.append((subset, period * len(images)))
     return tuple(reps)
 
 
@@ -322,16 +329,7 @@ def _validate(spec: GrassmannSpec, insertions: Iterable[Insertion]) -> tuple[Ins
             raise ValueError(
                 f"Chern insertion index {ins.index} exceeds rank {spec.r}"
             )
-    e = spec.virtual_dim
-    if e < 0:
-        raise DimensionMismatchError(
-            f"virtual dimension {e} is negative; nothing to integrate"
-        )
-    degree = symfunc.weighted_degree(insertions)
-    if degree != e:
-        raise DimensionMismatchError(
-            f"insertion degree {degree} != virtual dimension {e}"
-        )
+    symfunc.check_degree(insertions, spec.virtual_dim, "virtual dimension")
     return insertions
 
 
@@ -345,15 +343,12 @@ def _finalize(
 ) -> VirtualCount:
     """Sign the subset sum `total` and certify it as an integer: on the engine
     path, that phi(n) * [n^r at genus 0] divides the trace sum."""
-    value = total * _sign(spec)
-    if value.denominator != 1:
-        raise NonIntegralError(f"virtual count came out non-integral: {value}")
     advisory = (
         SEGRE_ADVISORY
         if any(ins.kind == SEGRE for ins in insertions)
         else PLAIN_TARGET_ADVISORY
     )
-    return VirtualCount(value, True, advisory, summands, workers)
+    return certified(total * _sign(spec), advisory, summands, workers)
 
 
 def j_factor(spec: GrassmannSpec, index: SubsetIndex) -> Cyc:

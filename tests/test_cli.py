@@ -252,6 +252,23 @@ def test_batch_refuses_non_integer_fields(tmp_path):
     assert code == EXIT_VALIDATION
 
 
+def test_a_count_too_long_to_print_is_a_record_of_its_own(tmp_path, capsys):
+    # 2^20002 has more digits than str() converts; r = -3 is no projective space.
+    huge = '{"mode": "closed-form", "variant": "projective", "g": 0, "d": 10000, "r": 3, "multidegree": [2]}'
+    negative_rank = '{"mode": "closed-form", "variant": "projective", "g": 1, "d": 1, "r": -3, "multidegree": [1]}'
+    good = '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:3"}'
+    code, rows = run_batch_lines(tmp_path, [huge, negative_rank, good])
+    assert len(rows) == 4
+    for row in rows[:2]:
+        assert row["ok"] is False and row["error"]["type"] == "ValueError"
+        assert row["error"]["exit"] == EXIT_VALIDATION
+    assert rows[2]["ok"] is True and rows[2]["value"]["exact"] == "3"
+    assert rows[3]["summary"] is True and rows[3]["records"] == 3
+    assert code == EXIT_VALIDATION
+    code, out = run_cli(capsys, "closed-form", "--g", "0", "--d", "10000", "--r", "3", "--l", "2")
+    assert code == EXIT_VALIDATION and "ValueError" in out
+
+
 def test_cli_refuses_fewer_than_one_worker(capsys):
     for workers in ("0", "-5"):
         code, out = run_cli(

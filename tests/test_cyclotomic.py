@@ -322,12 +322,3 @@ def test_galois_keeps_extract_rational(pair, q):
 def test_field_equal_distinguishes():
     assert field_equal(root_of_unity(4, 1) * root_of_unity(4, 1), rational(4, -1))
     assert not field_equal(root_of_unity(4, 1), rational(4, 1))
-
-
-def test_module_doctests():
-    import doctest
-
-    from quotcount import cyclotomic
-
-    failed, attempted = doctest.testmod(cyclotomic)
-    assert failed == 0 and attempted > 0

@@ -40,6 +40,26 @@ def projective(r, g, d, multidegree, e_twisted):
 def test_lagrangian_anchor_genus_one_degree_two():
     # m1 + 2*m2 = 3*(d-g+1) = 6 forces (m1, m2) = (4, 1) for the value 24.
     assert hypersurface_integral(lagrangian_g24(1, 2, 4, 1)).value == 24
+    # The closed form refuses in a fixed order: a negative input, then the
+    # regime d > 2g-2, then the degree m1 + 2*m2 = 3*(d-g+1).  A valid spec
+    # is refused alike by the engine-backed hypersurface path.
+    for g in range(-1, 3):
+        for d in range(-1, 4):
+            for m1 in (-1, 0, 3, 6):
+                for m2 in (-1, 0, 1, 3):
+                    if min(g, d, m1, m2) < 0:
+                        expected = ValueError
+                    elif d <= 2 * g - 2:
+                        expected = RegimeViolationError
+                    elif m1 + 2 * m2 != 3 * (d - g + 1):
+                        expected = DimensionMismatchError
+                    else:
+                        continue
+                    with pytest.raises(expected):
+                        closed_form_lg24(g, d, m1, m2)
+                    if expected is not ValueError:
+                        with pytest.raises(expected):
+                            hypersurface_integral(lagrangian_g24(g, d, m1, m2))
 
 
 def test_underweight_monomial_is_rejected():
@@ -267,6 +287,42 @@ def test_closed_forms_refuse_what_they_would_divide_by():
         closed_form_projective(-1, 1, 1, (2,))
     with pytest.raises(ValueError):
         closed_form_lg24(-1, 1, 6, 0)
+
+
+def test_closed_form_projective_refuses_rank_below_one():
+    # P^r needs r >= 1; without the check r = -3 gave -3 and r = 0 gave 1.
+    for args in ((1, 1, -3, (1,)), (0, 1, 0, (1,))):
+        with pytest.raises(ValueError):
+            closed_form_projective(*args)
+
+
+def test_closed_form_advisory_statuses_follow_the_codimension_rule():
+    # Out of regime if some d*l <= 2g-2; otherwise enumerative if sum(l) < r
+    # for one degree (sum(l) <= r for several or none), else virtual only.
+    def rule(g, d, r, multidegree):
+        if any(d * l <= 2 * g - 2 for l in multidegree):
+            return Enumerativity.OUT_OF_REGIME
+        total = sum(multidegree)
+        if (total < r) if len(multidegree) == 1 else (total <= r):
+            return Enumerativity.ENUMERATIVE_IF_WEAKLY_CONVEX
+        return Enumerativity.VIRTUAL_ONLY
+
+    degrees = [(), (1,), (2,), (3,), (5,), (1, 1), (1, 2), (2, 2), (1, 3)]
+    tevelev_cases = 0
+    for g in range(4):
+        for d in range(6):
+            for r in range(1, 7):
+                for multidegree in degrees:
+                    count = closed_form_projective(g, d, r, multidegree)
+                    assert count.advisory.status is rule(g, d, r, multidegree), (g, d, r, multidegree)
+                for l in range(1, r + 1):
+                    try:
+                        report = tevelev_compare(g, d, r, l)
+                    except (ValueError, DimensionMismatchError):
+                        continue
+                    tevelev_cases += 1
+                    assert report.point_count.advisory.status is rule(g, d, r, (l,)), (g, d, r, l)
+    assert tevelev_cases > 50
 
 
 def test_advisor_bounds():
