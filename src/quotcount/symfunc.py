@@ -54,9 +54,13 @@ def weighted_degree(insertions: Iterable[Insertion]) -> int:
     return sum(ins.index for ins in insertions)
 
 
-def check_degree(insertions: Iterable[Insertion], expected: int, what: str) -> None:
-    """Refuse insertions whose degree is not `expected`, the `what` they must fill."""
-    degree = weighted_degree(insertions)
+def check_degree(insertions: Iterable[Insertion] | int, expected: int, what: str) -> None:
+    """Refuse insertions whose degree is not `expected`, the `what` they must fill.
+
+    An int stands for the degree itself, so that a monomial can be checked
+    from its exponents before it is expanded.
+    """
+    degree = insertions if isinstance(insertions, int) else weighted_degree(insertions)
     if degree != expected:
         raise DimensionMismatchError(f"{what} is {expected}, but the insertion degree is {degree}")
 

@@ -75,15 +75,17 @@ class ProblemSpec(NamedTuple("ProblemSpec", [
         return all(b.d * l > 2 * b.g - 2 for l in self.multidegree)
 
 
-def _check_section(spec: ProblemSpec) -> None:
-    """A section count's preconditions: the regime, then the insertion degree."""
+def _check_section(spec: ProblemSpec, degree: int | None = None) -> None:
+    """A section count's preconditions: the regime, then the insertion degree
+    (`degree`, when given, stands for the degree of insertions not yet expanded)."""
     if not spec.in_regime:
         b = spec.base
         raise RegimeViolationError(
             f"need d*l > 2g-2 for every section degree (d={b.d}, g={b.g}, "
             f"multidegree={spec.multidegree})"
         )
-    check_degree(spec.insertions, spec.twisted_dim, "twisted virtual dimension")
+    check_degree(spec.insertions if degree is None else degree, spec.twisted_dim,
+                 "twisted virtual dimension")
 
 
 def _boost(spec: ProblemSpec) -> tuple[GrassmannSpec, tuple[Insertion, ...]]:
@@ -225,8 +227,12 @@ def closed_form_lg24(g: int, d: int, m1: int, m2: int) -> VirtualCount:
     The spec is the degree-1 section of G(2, 4) with a_1^m1 a_2^m2, so it
     requires d > 2g - 2 and m1 + 2*m2 = 3*(d - g + 1), its twisted dimension.
     """
-    spec = ProblemSpec(GrassmannSpec(2, 4, g, d), (1,), monomial((chern(1), m1), (chern(2), m2)))
-    _check_section(spec)
+    if min(m1, m2) < 0:
+        raise ValueError("exponents must be nonnegative")
+    base = GrassmannSpec(2, 4, g, d)
+    # Checked from the exponents: a refused monomial is never expanded.
+    _check_section(ProblemSpec(base, (1,), ()), m1 + 2 * m2)
+    spec = ProblemSpec(base, (1,), monomial((chern(1), m1), (chern(2), m2)))
     value = Fraction(2) ** (2 * d - m2 - g + 1) * 3**g
     return _flagged(value, enumerativity_advisor(spec))
 

@@ -1,19 +1,20 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quotcount.errors import DimensionMismatchError
+from quotcount import qh_oracle
+from quotcount.errors import DimensionMismatchError, QuotcountError
 from quotcount.qh_oracle import (
     Partition,
     QClass,
-    _horizontal_strips,
-    _rim_hook_reduce,
-    _vertical_strips,
+    _pieri_row,
     fixed_domain_count_g0,
     pieri_multiply,
     pieri_multiply_segre,
 )
-from quotcount.symfunc import chern, monomial, segre
+from quotcount.symfunc import CHERN, SEGRE, chern, monomial, segre
 from quotcount.vi_engine import GrassmannSpec, vi_integral
 
 
@@ -123,8 +124,8 @@ def test_segre_insertions_cross_check_engine():
 
 
 def test_memoised_oracle_keeps_its_values():
-    # Values computed by the oracle before its strip and rim-hook helpers
-    # were memoised; each is checked from cold caches and again warm.
+    # Values computed by the oracle before its Pieri rows were memoised;
+    # each is checked from a cold row table and again warm.
     cases = [
         (2, 4, 1, monomial((chern(1), 8)), 8),
         (2, 5, 2, monomial((chern(1), 10), (chern(2), 3)), 34),
@@ -133,16 +134,86 @@ def test_memoised_oracle_keeps_its_values():
         (2, 6, 2, monomial((segre(4), 2), (chern(1), 8), (chern(2), 2)), 14),
         (4, 8, 1, monomial((chern(1), 12), (chern(4), 2), (segre(2), 2)), 6040),
     ]
-    helpers = (_vertical_strips, _horizontal_strips, _rim_hook_reduce)
-    for helper in helpers:
-        helper.cache_clear()
+    _pieri_row.cache_clear()
     for _ in range(2):
         for r, n, d, ins, expected in cases:
             assert fixed_domain_count_g0(r, n, d, ins) == expected, (r, n, d)
-    for helper in helpers:
-        info = helper.cache_info()
-        assert info.maxsize is not None and info.hits > 0
-    # cached results are shared, so they must be immutable
-    for strips in (_vertical_strips, _horizontal_strips):
-        grown = strips((1, 0), 1)
-        assert isinstance(grown, tuple) and set(grown) == {(2, 0), (1, 1)}
+    info = _pieri_row.cache_info()
+    assert info.maxsize is not None and info.hits > 0
+    # cached rows are shared, so they must be immutable
+    row = _pieri_row((1, 0), 1, CHERN, 4)
+    assert isinstance(row, tuple) and set(row) == {((2, 0), 0, 1), ((1, 1), 0, 1)}
+
+
+@pytest.fixture
+def cold_oracle():
+    """Empty the oracle's memo tables before and after a test that patches it."""
+    def clear():
+        for value in vars(qh_oracle).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def test_oracle_refusals():
+    with pytest.raises(ValueError, match="special index must satisfy 1 <= i <= 2"):
+        fixed_domain_count_g0(2, 4, 1, [chern(3)] + [chern(1)] * 5)
+    with pytest.raises(ValueError, match="need 1 <= r < n"):
+        fixed_domain_count_g0(0, 3, 0, ())
+    with pytest.raises(ValueError):
+        fixed_domain_count_g0(3, 3, 1, [chern(1)] * 3)
+    with pytest.raises(ValueError):
+        fixed_domain_count_g0(2, 4, -1, ())
+
+
+def test_positivity_guard_fires_on_a_broken_sign(cold_oracle, monkeypatch):
+    # Flip the sign of every rim hook removed: sigma_1^4 in G(2,4) has the
+    # term 2q, which turns negative, so the effective product must refuse.
+    reduce = qh_oracle._rim_hook_reduce
+
+    def broken(padded, r, n):
+        reduced = reduce(padded, r, n)
+        if reduced is None or reduced[1] == 0:
+            return reduced
+        shape, q_added, sign = reduced
+        return shape, q_added, -sign
+
+    monkeypatch.setattr(qh_oracle, "_rim_hook_reduce", broken)
+    with pytest.raises(QuotcountError, match="negative structure coefficient"):
+        fixed_domain_count_g0(2, 4, 1, [chern(1)] * 8)
+
+
+@st.composite
+def oracle_cases(draw):
+    """G(r, n) with n <= 8, d <= 2, and insertions filling the degree in a drawn
+    order: Chern indices up to r, Segre indices up to n + 2 (past the box)."""
+    n = draw(st.integers(2, 8))
+    r = draw(st.integers(1, n - 1))
+    d = draw(st.integers(0, 2))
+    left = d * n + r * (n - r)
+    insertions = []
+    while left:
+        kind = draw(st.sampled_from((CHERN, SEGRE)))
+        top = min(left, r if kind == CHERN else n + 2)
+        i = draw(st.integers(1, top))
+        insertions.append(chern(i) if kind == CHERN else segre(i))
+        left -= i
+    return r, n, d, insertions
+
+
+@given(oracle_cases())
+@settings(max_examples=150, deadline=None)
+def test_paired_count_matches_the_sequential_product(case):
+    # The count sorts the insertions and pairs two half-products by
+    # duality; it must equal the (box, d) coefficient of the product taken
+    # one insertion at a time, in the given order.
+    r, n, d, insertions = case
+    c = QClass.unit(r, n)
+    for ins in insertions:
+        multiply = pieri_multiply if ins.kind == CHERN else pieri_multiply_segre
+        c = multiply(c, ins.index)
+    box = Partition(((n - r),) * r)
+    assert fixed_domain_count_g0(r, n, d, insertions) == c.coefficient(box, d)

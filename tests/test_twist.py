@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,19 @@ def test_lagrangian_anchor_genus_one_degree_two():
                     if expected is not ValueError:
                         with pytest.raises(expected):
                             hypersurface_integral(lagrangian_g24(g, d, m1, m2))
+
+
+def test_lagrangian_refusal_never_expands_the_monomial():
+    # a_1^5000000 would be a 40 MB insertion tuple; the degree is refused
+    # from the exponents first, by the one insertion-degree check.
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatchError, match="twisted virtual dimension is 6"):
+            closed_form_lg24(0, 1, 5_000_000, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_underweight_monomial_is_rejected():
