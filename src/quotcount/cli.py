@@ -17,11 +17,12 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
-from . import qh_oracle, twist, vi_engine
+from . import qh_oracle, symfunc, twist, vi_engine
 from .errors import DimensionMismatchError, QuotcountError, RegimeViolationError
-from .symfunc import CHERN, SEGRE, Insertion, weighted_degree
+from .symfunc import CHERN, SEGRE, Insertion
 from .twist import BClassWord, ProblemSpec
 from .vi_engine import GrassmannSpec, VirtualCount
 
@@ -37,6 +38,10 @@ EXIT_INTERNAL = 3
 VALIDATION_ERRORS = (DimensionMismatchError, RegimeViolationError, ValueError)
 
 Insertions = tuple[Insertion, ...]
+Monomial = tuple[tuple[Insertion, int], ...]  # (insertion, exponent) pairs
+
+# One encoder for every JSON line: json.dumps with sort_keys builds a new one per call.
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 class JobRequest(NamedTuple):
@@ -135,16 +140,31 @@ def parse_insertions(text: str) -> tuple[tuple[str, int, int], ...]:
     return tuple(out)
 
 
-def _expand(triples: Sequence[tuple[str, int, int]]) -> Insertions:
-    out: list[Insertion] = []
-    for kind, index, exponent in triples:
-        out.extend([Insertion(kind, index)] * exponent)
-    return tuple(out)
+def _monomial(triples: Sequence[tuple[str, int, int]]) -> Monomial:
+    """The (insertion, exponent) pairs of the request; every mode refuses an
+    unknown kind or an index below 1 here."""
+    return tuple((Insertion(kind, index), exponent) for kind, index, exponent in triples)
+
+
+def _degree(monomial: Monomial) -> int:
+    return sum(ins.index * exponent for ins, exponent in monomial)
+
+
+def _expand(monomial: Monomial, check) -> Insertions:
+    """The monomial's insertions, expanded only once `check(present, degree)`
+    passes: `present` holds each insertion with a positive exponent once, in
+    order, so a check of single insertions sees what the expansion would
+    show it, and `degree` is the weighted degree.  A huge exponent is thus
+    refused without building one tuple entry per unit of it."""
+    check(tuple(ins for ins, exponent in monomial if exponent), _degree(monomial))
+    return symfunc.monomial(*monomial)
 
 
 # -- one runner per mode ------------------------------------------------------
 # A runner validates what its mode needs, fills the result's dims, blocks and
-# stats, and returns the count whose value the record reports.
+# stats, and returns the count whose value the record reports.  It expands
+# the insertions through `_expand`, whose check runs the refusals the mode's
+# own call would run before its degree check, in the same order.
 
 def _spec(req: JobRequest) -> GrassmannSpec:
     if req.n is None:
@@ -152,32 +172,42 @@ def _spec(req: JobRequest) -> GrassmannSpec:
     return GrassmannSpec(req.r, req.n, req.g, req.d)
 
 
-def _plain_dims(spec: GrassmannSpec, insertions: Insertions, **extra) -> dict:
-    return {"virtual_dim": spec.virtual_dim, **extra,
-            "insertion_degree": weighted_degree(insertions)}
+def _plain_dims(spec: GrassmannSpec, monomial: Monomial, **extra) -> dict:
+    return {"virtual_dim": spec.virtual_dim, **extra, "insertion_degree": _degree(monomial)}
 
 
-def _grassmannian(req: JobRequest, insertions: Insertions, result: JobResult) -> VirtualCount:
+def _grassmannian(req: JobRequest, monomial: Monomial, result: JobResult) -> VirtualCount:
     spec = _spec(req)
-    result.dims = _plain_dims(spec, insertions)
+    result.dims = _plain_dims(spec, monomial)
     result.stats["subsets"] = spec.subset_count
+    insertions = _expand(monomial, partial(vi_engine._validate, spec))
     count = vi_engine.vi_integral(spec, insertions, req.workers)
     result.stats.update(summands=count.summands, workers=count.workers)
     return count
 
 
-def _section(req: JobRequest, insertions: Insertions, result: JobResult) -> ProblemSpec:
+def _section(req: JobRequest, monomial: Monomial, result: JobResult,
+             one_degree: Optional[str] = None) -> ProblemSpec:
+    """The section problem; `one_degree` names the hypersurface call that
+    requires a single section degree, which it checks first."""
     base = _spec(req)
     if not req.multidegree:
         raise ValueError("a section multidegree is required (--l)")
-    problem = ProblemSpec(base, req.multidegree, insertions)
-    result.dims = _plain_dims(base, insertions, twisted_dim=problem.twisted_dim)
+    problem = ProblemSpec(base, req.multidegree, ())
+    result.dims = _plain_dims(base, monomial, twisted_dim=problem.twisted_dim)
     result.stats["subsets"] = base.subset_count
-    return problem
+
+    def check(present: Insertions, degree: int) -> None:
+        if one_degree is not None:
+            twist._one_degree(problem, one_degree)
+        twist._check_section(problem, degree)
+
+    return ProblemSpec(base, req.multidegree, _expand(monomial, check))
 
 
-def _hypersurface(req: JobRequest, insertions: Insertions, result: JobResult) -> VirtualCount:
-    problem = _section(req, insertions, result)
+def _hypersurface(req: JobRequest, monomial: Monomial, result: JobResult) -> VirtualCount:
+    problem = _section(req, monomial, result,
+                       "hypersurface_integral" if req.path == "closed" else "path comparison")
     if req.path == "closed":
         return twist.hypersurface_integral(problem, req.workers)
     closed, phi, agree = twist.hypersurface_both_paths(problem, req.workers)
@@ -189,11 +219,11 @@ def _hypersurface(req: JobRequest, insertions: Insertions, result: JobResult) ->
     return phi if req.path == "phi" else closed
 
 
-def _complete_intersection(req: JobRequest, insertions: Insertions, result: JobResult) -> VirtualCount:
-    return twist.complete_intersection_integral(_section(req, insertions, result), req.workers)
+def _complete_intersection(req: JobRequest, monomial: Monomial, result: JobResult) -> VirtualCount:
+    return twist.complete_intersection_integral(_section(req, monomial, result), req.workers)
 
 
-def _closed_form(req: JobRequest, insertions: Insertions, result: JobResult) -> VirtualCount:
+def _closed_form(req: JobRequest, monomial: Monomial, result: JobResult) -> VirtualCount:
     if req.variant == "lg24":
         if req.m1 is None or req.m2 is None:
             raise ValueError("closed-form lg24 requires --m1 and --m2")
@@ -203,8 +233,9 @@ def _closed_form(req: JobRequest, insertions: Insertions, result: JobResult) -> 
     return twist.closed_form_projective(req.g, req.d, req.r, req.multidegree)
 
 
-def _duality_check(req: JobRequest, insertions: Insertions, result: JobResult) -> VirtualCount:
+def _duality_check(req: JobRequest, monomial: Monomial, result: JobResult) -> VirtualCount:
     spec = _spec(req)
+    insertions = _expand(monomial, partial(vi_engine._check_duality, spec))
     report = vi_engine.duality_check(spec, insertions, req.workers)
     result.blocks["duality"] = {
         "chern_side": _exact_str(report.chern_side.value),
@@ -215,14 +246,16 @@ def _duality_check(req: JobRequest, insertions: Insertions, result: JobResult) -
     return report.chern_side
 
 
-def _b_reduce(req: JobRequest, insertions: Insertions, result: JobResult) -> VirtualCount:
+def _b_reduce(req: JobRequest, monomial: Monomial, result: JobResult) -> VirtualCount:
     base = _spec(req)
+    insertions = _expand(monomial, lambda present, degree: twist._check_b_word(
+        BClassWord(req.b_pairs, present), base, degree))
     count = twist.reduce_b_classes(BClassWord(req.b_pairs, insertions), base, req.workers)
-    result.dims = _plain_dims(base, insertions, pairs=len(req.b_pairs))
+    result.dims = _plain_dims(base, monomial, pairs=len(req.b_pairs))
     return count
 
 
-def _tevelev(req: JobRequest, insertions: Insertions, result: JobResult) -> VirtualCount:
+def _tevelev(req: JobRequest, monomial: Monomial, result: JobResult) -> VirtualCount:
     if len(req.multidegree) != 1:
         raise ValueError("tevelev requires a single section degree (--l)")
     report = twist.tevelev_compare(req.g, req.d, req.r, req.multidegree[0], req.t)
@@ -235,10 +268,11 @@ def _tevelev(req: JobRequest, insertions: Insertions, result: JobResult) -> Virt
     return report.point_count
 
 
-def _oracle_check(req: JobRequest, insertions: Insertions, result: JobResult) -> VirtualCount:
+def _oracle_check(req: JobRequest, monomial: Monomial, result: JobResult) -> VirtualCount:
     if req.g != 0:
         raise ValueError("the combinatorial oracle is a genus-0 check")
     spec = _spec(req)
+    insertions = _expand(monomial, partial(vi_engine._validate, spec))
     count = vi_engine.vi_integral(spec, insertions, req.workers)
     oracle_value = qh_oracle.fixed_domain_count_g0(req.r, spec.n, req.d, insertions)
     result.blocks["oracle"] = {
@@ -270,10 +304,10 @@ def run(req: JobRequest) -> JobResult:
         _check_fields(req)
         if req.workers < 1:
             raise ValueError("workers must be a positive integer")
-        insertions = _expand(req.insertions)
+        monomial = _monomial(req.insertions)
         if req.mode not in MODES:
             raise ValueError(f"unknown mode {req.mode!r}")
-        count = RUNNERS[req.mode](req, insertions, result)
+        count = RUNNERS[req.mode](req, monomial, result)
         # str() refuses a count too long to print with ValueError: a record of its own
         result.value_fields = _value_fields(count.value)
         result.value, result.is_integer, result.advisory = (
@@ -379,7 +413,7 @@ def run_preset(name: str) -> tuple[JobResult, Optional[str], bool]:
 def _render(result: JobResult, fmt: str, out=None) -> None:
     out = out if out is not None else sys.stdout
     if fmt == "json":
-        out.write(json.dumps(result.to_dict(), sort_keys=True) + "\n")
+        out.write(_encode(result.to_dict()) + "\n")
         return
     d = result.to_dict()
     if not result.ok:
@@ -390,8 +424,8 @@ def _render(result: JobResult, fmt: str, out=None) -> None:
         lines.append(f"  advisory: {result.advisory.status.value} ({result.advisory.reason})")
     for key in ("dims", *result.blocks):
         if d.get(key):
-            lines.append(f"  {key}: {json.dumps(d[key], sort_keys=True)}")
-    lines.append(f"  stats: {json.dumps(d['stats'], sort_keys=True)}")
+            lines.append(f"  {key}: {_encode(d[key])}")
+    lines.append(f"  stats: {_encode(d['stats'])}")
     out.write("\n".join(lines) + "\n")
 
 
@@ -491,12 +525,12 @@ _FROM_JSON = {
 # batch spelling -> (field name, shape conversion or None), in FIELDS order
 _BATCH_KEYS = {key: (name, _FROM_JSON.get(f.kind))
                for name, f in FIELDS.items() for key in f.keys or (name,)}
+_RECORD_KEYS = frozenset(_BATCH_KEYS) | {"mode"}
 
 
 def _request_from_record(record: dict) -> JobRequest:
-    unknown = set(record) - set(_BATCH_KEYS) - {"mode"}
-    if unknown:
-        raise ValueError(f"unknown batch fields: {sorted(unknown)}")
+    if not _RECORD_KEYS.issuperset(record):
+        raise ValueError(f"unknown batch fields: {sorted(set(record) - _RECORD_KEYS)}")
     if "mode" not in record or record["mode"] not in MODES:
         raise ValueError(f"batch record needs a mode from {MODES}")
     values = {}
@@ -519,13 +553,15 @@ def run_batch(path: str, out=None) -> int:
     """One JSON request per line in, one JSON result per line out.
 
     Record-level failures are reported in their record and do not stop
-    the batch; the trailing summary line reports totals and the outcome
-    of every evaluation-path agreement check.  Returns the worst exit
-    code of any record.
+    the batch; the trailing summary line reports totals, the outcome of
+    every evaluation-path agreement check and, under `stats`, the engine
+    memo's hits and misses during the batch.  Returns the worst exit code
+    of any record.
     """
     out = out if out is not None else sys.stdout
     exits: Counter = Counter()
     agreements = []
+    memo_before = vi_engine._certified_count.cache_info()
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
@@ -541,7 +577,8 @@ def run_batch(path: str, out=None) -> int:
                 if "paths" in result.blocks:
                     agreements.append(result.blocks["paths"]["agree"])
             exits[_exit_code(result)] += 1
-            out.write(json.dumps(result.to_dict(), sort_keys=True) + "\n")
+            out.write(_encode(result.to_dict()) + "\n")
+    memo = vi_engine._certified_count.cache_info()
     summary = {
         "schema": SCHEMA,
         "summary": True,
@@ -554,8 +591,10 @@ def run_batch(path: str, out=None) -> int:
             "agreed": sum(agreements),
             "pass": all(agreements),
         },
+        "stats": {"engine_memo": {"hits": memo.hits - memo_before.hits,
+                                  "misses": memo.misses - memo_before.misses}},
     }
-    out.write(json.dumps(summary, sort_keys=True) + "\n")
+    out.write(_encode(summary) + "\n")
     return max(exits, default=EXIT_OK)
 
 
@@ -611,7 +650,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             result, expected, matched = run_preset(name)
             record = {**result.to_dict(), "preset": name, "expected": expected, "matched": matched}
             if args.fmt == "json":
-                print(json.dumps(record, sort_keys=True))
+                print(_encode(record))
             else:
                 shown = record.get("value", {}).get("exact", "error")
                 print(f"{name}: value={shown} expected={expected} matched={matched}")

@@ -187,15 +187,22 @@ B_WORD_ADVISORY = Advisory(
 )
 
 
+def _check_b_word(word: BClassWord, base: GrassmannSpec, degree: int | None = None) -> None:
+    """The odd-class reduction's refusals (`degree` as in `_check_section`)."""
+    s = len(word.pair_indices)
+    if any(j > base.g for j in word.pair_indices):
+        raise ValueError("pair indices must lie in [1, g]")
+    check_degree(word.monomial if degree is None else degree, base.virtual_dim - s,
+                 f"virtual dimension minus {s} (the pair count)")
+
+
 def reduce_b_classes(word: BClassWord, base: GrassmannSpec, workers: int = 1) -> VirtualCount:
     """Trade s odd-class pairs for a_1^s / n^s inside a plain integral.
 
     Vanishes when a pair index repeats or when s exceeds the map degree.
     """
+    _check_b_word(word, base)
     s = len(word.pair_indices)
-    if any(j > base.g for j in word.pair_indices):
-        raise ValueError("pair indices must lie in [1, g]")
-    check_degree(word.monomial, base.virtual_dim - s, f"virtual dimension minus {s} (the pair count)")
     if len(set(word.pair_indices)) < s or s > base.d:
         return VirtualCount(Fraction(0), True, B_WORD_ADVISORY)
     boosted = word.monomial + (chern(1),) * s

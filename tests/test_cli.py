@@ -590,3 +590,76 @@ def test_run_request_directly():
     result = run(JobRequest(mode="grassmannian", g=0, d=0, r=2, n=4,
                             insertions=(("chern", 1, 4),)))
     assert result.ok and result.value == 2
+
+
+# a_1^5000000 would be a 40 MB insertion tuple; an exponent of 10^9 would ask
+# for gigabytes if a change ever expanded it, so none is used here.
+HUGE = (("chern", 1, 5_000_000),)
+
+
+@pytest.mark.parametrize("request_, error, message", [
+    (JobRequest(mode="grassmannian", g=1, d=1, r=2, n=3), "DimensionMismatchError",
+     "virtual dimension is 3, but the insertion degree is 5000000"),
+    (JobRequest(mode="oracle-check", g=0, d=1, r=2, n=4), "DimensionMismatchError",
+     "virtual dimension is 8, but the insertion degree is 5000000"),
+    (JobRequest(mode="duality-check", g=1, d=1, r=2, n=3), "DimensionMismatchError",
+     "virtual dimension is 3, but the insertion degree is 5000000"),
+    (JobRequest(mode="hypersurface", g=1, d=2, r=2, n=4, multidegree=(1,), path="both"),
+     "DimensionMismatchError", "twisted virtual dimension is 6, but the insertion degree is 5000000"),
+    (JobRequest(mode="complete-intersection", g=0, d=1, r=4, n=5, multidegree=(2, 2)),
+     "DimensionMismatchError", "twisted virtual dimension is 3, but the insertion degree is 5000000"),
+    (JobRequest(mode="b-reduce", g=1, d=1, r=2, n=3, b_pairs=(1,)), "DimensionMismatchError",
+     "virtual dimension minus 1 (the pair count) is 2, but the insertion degree is 5000000"),
+    # the refusals a mode runs before its degree check still come first
+    (JobRequest(mode="hypersurface", g=2, d=1, r=2, n=4, multidegree=(1,)),
+     "RegimeViolationError", "need d*l > 2g-2"),
+    (JobRequest(mode="hypersurface", g=1, d=2, r=2, n=4, multidegree=(1, 1)),
+     "ValueError", "hypersurface_integral expects exactly one section degree"),
+    (JobRequest(mode="grassmannian", g=1, d=1, r=1, n=3, insertions=(("chern", 2, 2_500_000),)),
+     "ValueError", "Chern insertion index 2 exceeds rank 1"),
+    (JobRequest(mode="duality-check", g=1, d=1, r=3, n=3), "ValueError",
+     "duality requires rank < n"),
+    (JobRequest(mode="b-reduce", g=1, d=1, r=2, n=3, b_pairs=(2,)), "ValueError",
+     "pair indices must lie in [1, g]"),
+    # the closed forms take no insertions and expand none
+    (JobRequest(mode="closed-form", g=0, d=1, r=1, multidegree=(2,)), None, None),
+])
+def test_a_huge_exponent_is_refused_before_it_is_expanded(request_, error, message):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        record = run(request_._replace(insertions=request_.insertions or HUGE)).to_dict()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    if error is None:
+        assert record["ok"] is True
+    else:
+        assert record["ok"] is False and record["error"]["type"] == error
+        assert record["error"]["message"].startswith(message)
+        assert record["error"]["exit"] == EXIT_VALIDATION
+
+
+def test_a_batch_run_twice_gives_the_same_records(tmp_path):
+    lines = [
+        '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:3"}',
+        '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:4"}',
+        '{"mode": "oracle-check", "g": 0, "d": 1, "r": 2, "n": 4, "ins": "a1:8"}',
+        '{"mode": "duality-check", "g": 1, "d": 1, "r": 2, "n": 4, "ins": "a1:4"}',
+        '{"mode": "hypersurface", "g": 1, "d": 2, "r": 2, "n": 4, "multidegree": [1], '
+        '"ins": "a1:4,a2:1", "path": "both"}',
+        '{"mode": "complete-intersection", "g": 0, "d": 1, "r": 4, "n": 5, "multidegree": [2, 2], '
+        '"ins": "a1:3"}',
+        '{"mode": "b-reduce", "g": 1, "d": 1, "r": 2, "n": 3, "b_pairs": [1], "ins": "a1:2"}',
+    ]
+    runs = [run_batch_lines(tmp_path, lines) for _ in range(2)]
+    memo = [rows[-1]["stats"]["engine_memo"] for _, rows in runs]
+    # the first pass evaluates each distinct sum once, the second reads them all
+    assert memo[0]["misses"] > 0
+    assert memo[1] == {"hits": memo[0]["hits"] + memo[0]["misses"], "misses": 0}
+    for _, rows in runs:
+        for row in rows:
+            row.pop("stats", None)
+    assert runs[0] == runs[1]

@@ -102,7 +102,7 @@ def galois_average(spec, ins, workers):
     """The engine's decoded S averaged over sigma_u for the units u of Z/n,
     over n^r at genus 0: the full subset sum as a ring element, with the
     number of summands S took."""
-    coeffs, summands = _folded_total(spec, ins, workers)
+    coeffs, summands = _folded_total(spec, *_grouped(ins), workers)
     n = spec.n
     weighted = Cyc(n, coeffs)
     units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
@@ -260,6 +260,52 @@ def test_the_certificate_refuses_a_wrong_sum(monkeypatch, spec, ins, value):
     assert result.ok is False
     assert result.error["type"] == "NonIntegralError"
     assert result.error["exit"] == EXIT_INTERNAL
+
+
+# -- the count memo ------------------------------------------------------------
+
+memo = vi_engine._certified_count
+
+
+@settings(max_examples=40, deadline=None)
+@_with_edges
+@given(case=packed_cases())
+def test_a_memoised_count_is_the_recomputed_count(case):
+    spec, ins = case
+    memo.cache_clear()
+    first = vi_integral(spec, ins)
+    hit = vi_integral(spec, ins)
+    assert hit is first and memo.cache_info().hits == 1
+    memo.cache_clear()
+    again = vi_integral(spec, ins)
+    # VirtualCount equality sees 3 fields; the memo must keep all 5.
+    assert tuple(hit) == tuple(again)
+    assert again.summands == len(affine_orbits(spec.n, spec.r)) and again.workers == 1
+
+
+def test_a_refusal_is_never_stored_and_never_read():
+    spec, ins = GrassmannSpec(2, 4, 0, 1), monomial((chern(2), 4))
+    accepted = vi_integral(spec, ins)
+    assert accepted == vi_integral_orbit_reduced(spec, ins)
+    # the same exponents, refused for the workers, the degree and the rank
+    with pytest.raises(ValueError, match="workers"):
+        vi_integral(spec, ins, 0)
+    with pytest.raises(DimensionMismatchError):
+        vi_integral(GrassmannSpec(2, 4, 0, 2), ins)
+    with pytest.raises(ValueError, match="exceeds rank"):
+        vi_integral(GrassmannSpec(1, 4, 0, 5), ins)
+    assert memo.cache_info().currsize == 1
+    assert vi_integral(spec, ins) is accepted
+
+
+def test_chern_and_segre_exponents_of_one_index_are_different_keys():
+    spec = GrassmannSpec(2, 6, 1, 1)  # a_2^3 counts 3, s_2^3 counts 45
+    cherns, segres = monomial((chern(2), 3)), monomial((segre(2), 3))
+    by_chern, by_segre = vi_integral(spec, cherns), vi_integral(spec, segres)
+    assert memo.cache_info().misses == 2
+    assert by_chern == vi_integral_orbit_reduced(spec, cherns)
+    assert by_segre == vi_integral_orbit_reduced(spec, segres)
+    assert by_chern.value != by_segre.value and by_chern.advisory != by_segre.advisory
 
 
 def test_affine_orbits_are_cached_as_a_bounded_tuple():
@@ -544,9 +590,9 @@ def test_parallel_matches_serial_on_random_specs(n, data):
         assert vi_integral_parallel(spec, ins, workers).value == reference, workers
     # These sums are too small for the policy to start a pool; drive one directly.
     # Equal decoded sums S give equal galois_average values, and more.
-    serial = _folded_total(spec, ins, 1)
+    serial = _folded_total(spec, *_grouped(ins), 1)
     for workers in (2, 3):
-        assert _folded_total(spec, ins, workers) == serial, workers
+        assert _folded_total(spec, *_grouped(ins), workers) == serial, workers
 
 
 def test_pool_size_policy_at_its_boundaries():
