@@ -14,7 +14,6 @@ from .cyclotomic import (
     cyclotomic_polynomial,
     extract_rational,
     field_equal,
-    inv_one_minus_root,
     rational,
     root_of_unity,
 )
@@ -46,7 +45,6 @@ from .twist import (
     enumerativity_advisor,
     hypersurface_both_paths,
     hypersurface_integral,
-    hypersurface_integral_via_phi_expansion,
     reduce_b_classes,
     tevelev_compare,
 )

@@ -187,27 +187,22 @@ def _grassmannian(req: JobRequest, monomial: Monomial, result: JobResult) -> Vir
 
 
 def _section(req: JobRequest, monomial: Monomial, result: JobResult,
-             one_degree: Optional[str] = None) -> ProblemSpec:
-    """The section problem; `one_degree` names the hypersurface call that
-    requires a single section degree, which it checks first."""
+             check=twist._check_section) -> ProblemSpec:
+    """The section problem, its insertions expanded once `check(problem,
+    degree)` passes: the section checks, or the hypersurface's."""
     base = _spec(req)
     if not req.multidegree:
         raise ValueError("a section multidegree is required (--l)")
     problem = ProblemSpec(base, req.multidegree, ())
     result.dims = _plain_dims(base, monomial, twisted_dim=problem.twisted_dim)
     result.stats["subsets"] = base.subset_count
-
-    def check(present: Insertions, degree: int) -> None:
-        if one_degree is not None:
-            twist._one_degree(problem, one_degree)
-        twist._check_section(problem, degree)
-
-    return ProblemSpec(base, req.multidegree, _expand(monomial, check))
+    insertions = _expand(monomial, lambda present, degree: check(problem, degree))
+    return ProblemSpec(base, req.multidegree, insertions)
 
 
 def _hypersurface(req: JobRequest, monomial: Monomial, result: JobResult) -> VirtualCount:
-    problem = _section(req, monomial, result,
-                       "hypersurface_integral" if req.path == "closed" else "path comparison")
+    problem = _section(req, monomial, result, partial(
+        twist._check_hypersurface, both_paths=req.path != "closed"))
     if req.path == "closed":
         return twist.hypersurface_integral(problem, req.workers)
     closed, phi, agree = twist.hypersurface_both_paths(problem, req.workers)
@@ -555,29 +550,35 @@ def run_batch(path: str, out=None) -> int:
     Record-level failures are reported in their record and do not stop
     the batch; the trailing summary line reports totals, the outcome of
     every evaluation-path agreement check and, under `stats`, the engine
-    memo's hits and misses during the batch.  Returns the worst exit code
-    of any record.
+    memo's hits and misses during the batch.  Each line is decoded as UTF-8
+    in its own record, so a line that is not UTF-8 fails alone; CR, LF and
+    CRLF end a line, as in text mode.  Returns the worst exit code of any
+    record.
     """
-    out = out if out is not None else sys.stdout
+    with open(path, "rb") as handle:
+        return _run_lines(handle, out if out is not None else sys.stdout)
+
+
+def _run_lines(handle, out) -> int:
+    """`run_batch` on an open binary file."""
     exits: Counter = Counter()
     agreements = []
     memo_before = vi_engine._certified_count.cache_info()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
+    for raw in (line for chunk in handle for line in chunk.splitlines()):
+        try:
+            line = raw.decode("utf-8").strip()
             if not line or line.startswith("#"):
                 continue
-            try:
-                request = _request_from_record(json.loads(line))
-            except (ValueError, TypeError, KeyError, RecursionError) as exc:
-                # RecursionError: a line nested too deeply to parse
-                result = JobResult(mode=None, ok=False, error=_error(exc, EXIT_VALIDATION))
-            else:
-                result = run(request)
-                if "paths" in result.blocks:
-                    agreements.append(result.blocks["paths"]["agree"])
-            exits[_exit_code(result)] += 1
-            out.write(_encode(result.to_dict()) + "\n")
+            request = _request_from_record(json.loads(line))
+        except (ValueError, TypeError, KeyError, RecursionError) as exc:
+            # UnicodeDecodeError is a ValueError; RecursionError: a line nested too deeply to parse
+            result = JobResult(mode=None, ok=False, error=_error(exc, EXIT_VALIDATION))
+        else:
+            result = run(request)
+            if "paths" in result.blocks:
+                agreements.append(result.blocks["paths"]["agree"])
+        exits[_exit_code(result)] += 1
+        out.write(_encode(result.to_dict()) + "\n")
     memo = vi_engine._certified_count.cache_info()
     summary = {
         "schema": SCHEMA,
@@ -635,7 +636,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "batch":
-        return run_batch(args.file)
+        try:
+            handle = open(args.file, "rb")
+        except OSError as exc:
+            print(f"argument error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        with handle:
+            return _run_lines(handle, sys.stdout)
 
     if args.command == "preset":
         if args.name is None and not args.all:

@@ -4,8 +4,7 @@ Elements are dense length-n vectors of rationals; multiplication wraps
 exponents modulo n, so no representative ever leaves length n, and a
 product by a root c*w^a is a rotation of the coefficients.  The ring has
 zero divisors, but the counting formulas never divide in it: their
-genus-0 weight is a product of root differences times n^(-r), and
-:func:`inv_one_minus_root` remains for field inverses outside the engine.
+genus-0 weight is a product of root differences times n^(-r).
 Rationality of a finished sum is decided by reduction modulo the n-th
 cyclotomic polynomial (the minimal polynomial of a primitive root), so
 the smaller field Q[w]/Phi_n enters only there.
@@ -16,11 +15,9 @@ stored, kept reduced (the gcd of the denominator and all numerators is
 arithmetic; the `coeffs` property presents the element as the tuple of
 Fractions the rest of the package reasons about.
 
-`Cyc` serves the reference evaluator (`vi_engine._Evaluator`) and its
-reduction modulo Phi_n.  The engine builds no `Cyc`: it packs summands
-as integers modulo 2^(K*n) - 1 with w -> 2^K, decodes the sum with
-:func:`balanced_digits` and reads the count off as a field trace, so
-NotRationalError cannot fire on the engine path.
+`Cyc` serves the reference route only: the evaluator
+`vi_engine._Evaluator`, the `symfunc` prefix tables it calls, and the
+reduction modulo Phi_n.  The engine builds no `Cyc`.
 
 >>> w = root_of_unity(4, 1)
 >>> (w * w).coeffs
@@ -74,9 +71,6 @@ class Cyc:
     def coeffs(self) -> tuple[Fraction, ...]:
         den = self._den
         return tuple(Fraction(c, den) for c in self._num)
-
-    def is_zero(self) -> bool:
-        return not any(self._num)
 
     def _check(self, other: Cyc) -> None:
         if self.order != other.order:
@@ -155,21 +149,6 @@ class Cyc:
         """Multiply by w^a - w^b: two rotations and a subtraction."""
         return self.rotate(a) - self.rotate(b)
 
-    def galois(self, u: int) -> Cyc:
-        """Apply sigma_u: w -> w^u, a ring automorphism for u prime to n.
-
-        Coefficient k moves to position u*k mod n, so sigma_u permutes
-        coefficients and commutes with every sum and product.
-        """
-        n = self.order
-        if gcd(u, n) != 1:
-            raise ValueError(f"sigma_{u} is an automorphism only for u prime to {n}")
-        v = pow(u, -1, n)
-        if v == 1:
-            return self
-        num = self._num
-        return Cyc._make(n, tuple(num[v * k % n] for k in range(n)), self._den)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Cyc)
@@ -203,32 +182,6 @@ def _reduced(num: list[int] | tuple[int, ...], den: int) -> tuple[tuple[int, ...
     return tuple(num), den
 
 
-def balanced_digits(x: int, width: int, n: int) -> tuple[int, ...]:
-    """The integer coefficients of the element of Z[w]/(w^n - 1) packed as x.
-
-    w -> 2^width maps Z[w]/(w^n - 1) onto the integers modulo
-    M = 2^(width*n) - 1 as a ring homomorphism.  Given 0 <= x <= M, this
-    returns the coefficients c_0..c_(n-1), each in
-    [-2^(width-1), 2^(width-1)), whose image is x; they are the
-    element's own when every coefficient of that element is smaller than
-    2^(width-2) in absolute value.  Adding 2^(width-1) to every digit
-    makes them all nonnegative, so they are read off with shifts and masks.
-
-    >>> balanced_digits(3 - 2 * 16 + 1 * 256, 4, 3)
-    (3, -2, 1)
-    >>> balanced_digits(2**12 - 2, 4, 3)  # -1 modulo 2^12 - 1
-    (-1, 0, 0)
-    """
-    bits = width * n
-    m = (1 << bits) - 1
-    half = 1 << (width - 1)
-    y = x + sum(half << (width * k) for k in range(n))
-    if y >= m:
-        y -= m
-    mask = (1 << width) - 1
-    return tuple(((y >> (width * k)) & mask) - half for k in range(n))
-
-
 def zero(n: int) -> Cyc:
     return Cyc._make(n, (0,) * n, 1)
 
@@ -255,29 +208,6 @@ def root_of_unity(n: int, a: int) -> Cyc:
     num = [0] * n
     num[a] = 1
     return Cyc._make(n, tuple(num), 1)
-
-
-@lru_cache(maxsize=None)
-def inv_one_minus_root(n: int, m: int) -> Cyc:
-    """Inverse of (1 - w^m) in the field sense, as an order-n element.
-
-    Returns (1/n) * prod over k in [1, n-1], k != m mod n, of (1 - w^k).
-    Multiplying back by (1 - w^m) gives 1 after reduction modulo Phi_n
-    (the full ring Q[w]/(w^n - 1) has zero divisors, so the contract is
-    stated in the reduced field, where the product of all the (1 - w^k)
-    equals n).
-    """
-    if n < 1:
-        raise ValueError("order must be a positive integer")
-    m %= n
-    if m == 0:
-        raise ZeroDivisionError("1 - w^0 = 0 is not invertible")
-    acc = one(n)
-    for k in range(1, n):
-        if k == m:
-            continue
-        acc = acc * (one(n) - root_of_unity(n, k))
-    return acc.scale(Fraction(1, n))
 
 
 @lru_cache(maxsize=None)

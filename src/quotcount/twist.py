@@ -121,9 +121,14 @@ def _phi_scalar(spec: ProblemSpec) -> Fraction:
     )
 
 
-def _one_degree(spec: ProblemSpec, what: str) -> None:
+def _check_hypersurface(spec: ProblemSpec, degree: int | None = None, *, both_paths: bool) -> None:
+    """A hypersurface count's preconditions: a single section degree, refused
+    in the name of the closed path or of the path comparison (`both_paths`),
+    then those of `_check_section` (`degree` as there)."""
     if len(spec.multidegree) != 1:
+        what = "path comparison" if both_paths else "hypersurface_integral"
         raise ValueError(f"{what} expects exactly one section degree")
+    _check_section(spec, degree)
 
 
 def _flagged(value: Fraction, advisory: Advisory) -> VirtualCount:
@@ -133,7 +138,7 @@ def _flagged(value: Fraction, advisory: Advisory) -> VirtualCount:
 
 def hypersurface_integral(spec: ProblemSpec, workers: int = 1) -> VirtualCount:
     """Count on a single degree-l section: prefactor times boosted plain count."""
-    _one_degree(spec, "hypersurface_integral")
+    _check_hypersurface(spec, both_paths=False)
     return complete_intersection_integral(spec, workers)
 
 
@@ -143,21 +148,9 @@ def complete_intersection_integral(spec: ProblemSpec, workers: int = 1) -> Virtu
     return certified(value, enumerativity_advisor(spec))
 
 
-def hypersurface_integral_via_phi_expansion(spec: ProblemSpec, workers: int = 1) -> VirtualCount:
-    """The same count through the truncated odd-class expansion (`_phi_scalar`).
-
-    The result is reported with an honest integrality flag instead of
-    being certified, so the d < g truncation (were it ever reachable)
-    could be compared.
-    """
-    _one_degree(spec, "the expansion path")
-    value = _boosted_value(spec, workers) * _phi_scalar(spec)
-    return _flagged(value, enumerativity_advisor(spec))
-
-
 def hypersurface_both_paths(spec: ProblemSpec, workers: int = 1) -> tuple[VirtualCount, VirtualCount, bool]:
     """Closed and expansion paths off a single engine run, plus agreement."""
-    _one_degree(spec, "path comparison")
+    _check_hypersurface(spec, both_paths=True)
     raw = _boosted_value(spec, workers)
     advisory = enumerativity_advisor(spec)
     closed = certified(raw * _closed_scalar(spec), advisory)

@@ -24,9 +24,10 @@ square-and-multiply with a fold of the high bits onto the low ones.
 K is two bits wider than a proven bound on every coefficient of the
 integer sum (`_coefficient_bound`: C(n, r) times the l1 norms of the
 insertion values and of the weight), so the sum's coefficients decode
-exactly as balanced base-2^K digits, once per job; at genus 0 the packed
-sum carries n^r times the sum, and n^(-r) is applied with the trace
-below.  A decoded coefficient above the bound is an internal error.
+exactly as balanced base-2^K digits (`balanced_digits`), once per job
+(at genus 0 the packed sum carries n^r times the sum, and n^(-r) is
+applied with the trace below).  A decoded coefficient above the bound is
+an internal error.
 `_Evaluator` keeps the same summand in `Cyc` arithmetic as the reference
 for `vi_integral_orbit_reduced`, `j_factor` and the tests.
 
@@ -77,7 +78,7 @@ from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import symfunc
-from .cyclotomic import Cyc, balanced_digits, extract_rational, one, root_of_unity, zero
+from .cyclotomic import Cyc, extract_rational, one, root_of_unity, zero
 from .errors import NonIntegralError, QuotcountError
 from .symfunc import CHERN, SEGRE, Insertion
 
@@ -487,6 +488,29 @@ def _fold(t: int, bits: int) -> int:
     return t
 
 
+def balanced_digits(x: int, width: int, n: int) -> tuple[int, ...]:
+    """The integer coefficients of the element of Z[w]/(w^n - 1) packed as x.
+
+    w -> 2^width maps Z[w]/(w^n - 1) onto the integers modulo
+    M = 2^(width*n) - 1 as a ring homomorphism.  Given x >= 0, this
+    returns the coefficients c_0..c_(n-1), each in
+    [-2^(width-1), 2^(width-1)), whose image is x modulo M; they are the
+    element's own when every coefficient of that element is smaller than
+    2^(width-2) in absolute value.  Adding 2^(width-1) to every digit
+    makes them all nonnegative, so after a fold (`_fold`) they are read
+    off with shifts and masks.
+
+    >>> balanced_digits(3 - 2 * 16 + 1 * 256, 4, 3)
+    (3, -2, 1)
+    >>> balanced_digits(2**12 - 2, 4, 3)  # -1 modulo 2^12 - 1
+    (-1, 0, 0)
+    """
+    half = 1 << (width - 1)
+    y = _fold(x + sum(half << (width * k) for k in range(n)), width * n)
+    mask = (1 << width) - 1
+    return tuple(((y >> (width * k)) & mask) - half for k in range(n))
+
+
 def _folded_total(
     spec: GrassmannSpec, cherns, segres, workers: int
 ) -> tuple[tuple[int, ...], int]:
@@ -506,7 +530,7 @@ def _folded_total(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            packed = _fold(sum(pool.map(_packed_sum, jobs)), width * n)
+            packed = sum(pool.map(_packed_sum, jobs))
     else:
         packed = _packed_sum(jobs[0])
     coeffs = balanced_digits(packed, width, n)

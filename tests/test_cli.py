@@ -381,6 +381,32 @@ def test_batch_survives_a_deeply_nested_line(tmp_path):
     assert code == EXIT_VALIDATION
 
 
+def test_batch_survives_a_line_that_is_not_utf8(tmp_path, capsys):
+    good = b'{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:3"}\n'
+    path = tmp_path / "latin1.jsonl"
+    # a bad byte first, and one deep in the file; CR alone also ends a line
+    path.write_bytes(b"\xff\n" + good * 300 + b'{"mode": "caf\xe9"}\n' + good * 2 + good.strip() + b"\r"
+                     + good.strip() + b"\r\n")
+    code, out = run_cli(capsys, "batch", str(path))
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    assert len(rows) == 307 and rows[-1]["records"] == 306
+    bad = [i for i, row in enumerate(rows[:-1]) if not row["ok"]]
+    assert bad == [0, 301]
+    for i in bad:
+        assert rows[i]["mode"] is None and rows[i]["error"]["type"] == "UnicodeDecodeError"
+        assert rows[i]["error"]["exit"] == EXIT_VALIDATION
+    assert rows[-1]["ok"] == 304 and rows[-1]["validation_errors"] == 2
+    assert code == EXIT_VALIDATION
+
+
+def test_batch_refuses_a_path_it_cannot_read(tmp_path, capsys):
+    for path in (tmp_path / "missing.jsonl", tmp_path):
+        assert main(["batch", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("argument error: ")
+
+
 def test_batch_returns_the_worst_exit_code(tmp_path, monkeypatch):
     from quotcount import twist
 

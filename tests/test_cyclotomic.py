@@ -12,13 +12,14 @@ from quotcount.cyclotomic import (
     cyclotomic_polynomial,
     extract_rational,
     field_equal,
-    inv_one_minus_root,
     one,
     rational,
     root_of_unity,
     zero,
 )
 from quotcount.errors import NotRationalError, OrderMismatchError
+
+from cyc_helpers import galois, inv_one_minus_root
 
 
 def naive_mul(x: Cyc, y: Cyc) -> Cyc:
@@ -275,9 +276,9 @@ def phi_element(n: int) -> Cyc:
 @settings(max_examples=60, deadline=None)
 def test_galois_is_a_ring_automorphism(pair):
     x, y, u = pair
-    assert (x + y).galois(u) == x.galois(u) + y.galois(u)
-    assert (x * y).galois(u) == x.galois(u) * y.galois(u)
-    assert one(x.order).galois(u) == one(x.order)
+    assert galois(x + y, u) == galois(x, u) + galois(y, u)
+    assert galois(x * y, u) == galois(x, u) * galois(y, u)
+    assert galois(one(x.order), u) == one(x.order)
 
 
 @given(cyc_pairs_with_unit())
@@ -285,9 +286,9 @@ def test_galois_is_a_ring_automorphism(pair):
 def test_galois_permutes_coefficients(pair):
     x, _, u = pair
     n = x.order
-    image = x.galois(u)
+    image = galois(x, u)
     assert sorted(image.coeffs) == sorted(x.coeffs)
-    assert image.galois(pow(u, -1, n)) == x
+    assert galois(image, pow(u, -1, n)) == x
     for k in range(n):
         assert image.coeffs[u * k % n] == x.coeffs[k]
 
@@ -297,10 +298,10 @@ def test_galois_moves_roots_and_rejects_non_units():
         for u in range(1, n + 1):
             if gcd(u, n) != 1:
                 with pytest.raises(ValueError):
-                    one(n).galois(u)
+                    galois(one(n), u)
                 continue
             for k in range(n):
-                assert root_of_unity(n, k).galois(u) == root_of_unity(n, u * k)
+                assert galois(root_of_unity(n, k), u) == root_of_unity(n, u * k)
 
 
 @given(cyc_pairs_with_unit(), small_rationals)
@@ -309,14 +310,14 @@ def test_galois_keeps_extract_rational(pair, q):
     x, y, u = pair
     n = x.order
     rational_valued = rational(n, q) + y * phi_element(n)
-    assert extract_rational(rational_valued.galois(u)) == q
+    assert extract_rational(galois(rational_valued, u)) == q
     try:
         expected = extract_rational(x)
     except NotRationalError:
         with pytest.raises(NotRationalError):
-            extract_rational(x.galois(u))
+            extract_rational(galois(x, u))
     else:
-        assert extract_rational(x.galois(u)) == expected
+        assert extract_rational(galois(x, u)) == expected
 
 
 def test_field_equal_distinguishes():

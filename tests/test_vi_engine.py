@@ -15,7 +15,6 @@ from quotcount.cyclotomic import (
     Cyc,
     extract_rational,
     field_equal,
-    inv_one_minus_root,
     one,
     root_of_unity,
     zero,
@@ -35,6 +34,7 @@ from quotcount.vi_engine import (
     _sign,
     _validate,
     affine_orbits,
+    balanced_digits,
     duality_check,
     iter_colex,
     j_factor,
@@ -44,6 +44,8 @@ from quotcount.vi_engine import (
     vi_integral_orbit_reduced,
     vi_integral_parallel,
 )
+
+from cyc_helpers import galois, inv_one_minus_root
 
 
 def hyperplanes(k):
@@ -108,7 +110,7 @@ def galois_average(spec, ins, workers):
     units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
     total = zero(n)
     for u in units:
-        total = total + weighted.galois(u)
+        total = total + galois(weighted, u)
     return total.scale(Fraction(1, len(units) * (n ** spec.r if spec.g == 0 else 1))), summands
 
 
@@ -235,6 +237,20 @@ def test_ramanujan_sums_are_the_traces_of_the_roots():
             for u in units:
                 trace = trace + root_of_unity(n, u * k)
             assert _ramanujan(n)[k] == extract_rational(trace), (n, k)
+
+
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=8), st.data())
+@settings(max_examples=60, deadline=None)
+def test_balanced_digits_decodes_every_packing(width, n, data):
+    # Coefficients below 2^(width-2) in absolute value, packed as
+    # sum c_k * 2^(width*k) modulo M = 2^(width*n) - 1, decode back from a
+    # nonnegative representative of that residue, whether below M or above it.
+    limit = (1 << (width - 2)) - 1
+    coeffs = tuple(data.draw(st.lists(st.integers(-limit, limit), min_size=n, max_size=n)))
+    m = (1 << (width * n)) - 1
+    packed = sum(c << (width * k) for k, c in enumerate(coeffs)) % m
+    copies = data.draw(st.sampled_from([0, 1, 2, 7, 1 << 20]))
+    assert balanced_digits(packed + copies * m, width, n) == coeffs
 
 
 @pytest.mark.parametrize("spec, ins, value", [
@@ -493,7 +509,7 @@ def test_summand_rotation_invariance():
             assert ev.summand(rotated) == value, (spec, subset)
             for u in units:
                 image = tuple(sorted(u * a % n for a in subset))
-                assert ev.summand(image) == value.galois(u), (spec, subset, u)
+                assert ev.summand(image) == galois(value, u), (spec, subset, u)
 
 
 def test_genus0_weight_inverts_j_in_the_field():
