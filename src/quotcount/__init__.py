@@ -13,8 +13,6 @@ from .cyclotomic import (
     Cyc,
     cyclotomic_polynomial,
     extract_rational,
-    field_equal,
-    rational,
     root_of_unity,
 )
 from .errors import (

@@ -190,12 +190,6 @@ def one(n: int) -> Cyc:
     return Cyc._make(n, (1,) + (0,) * (n - 1), 1)
 
 
-def rational(n: int, value: Scalar) -> Cyc:
-    """Embed a rational number as the constant element of order n."""
-    q = Fraction(value)
-    return Cyc._make(n, (q.numerator,) + (0,) * (n - 1), q.denominator)
-
-
 def root_of_unity(n: int, a: int) -> Cyc:
     """The basis element w^(a mod n) of order n.
 
@@ -270,9 +264,3 @@ def extract_rational(x: Cyc) -> Fraction:
         raise NotRationalError(f"residue modulo Phi_{x.order} has positive degree")
     return Fraction(rem[0], x._den)
 
-
-def field_equal(x: Cyc, y: Cyc) -> bool:
-    """Equality in the field Q[w]/Phi_n (representatives may differ)."""
-    if x.order != y.order:
-        raise OrderMismatchError("field comparison requires equal orders")
-    return not any(_phi_residue(x - y))

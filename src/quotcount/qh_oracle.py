@@ -81,47 +81,51 @@ def _check_index(r: int, kind: str, i: int) -> None:
 
 
 def _vertical_strips(padded: tuple[int, ...], i: int) -> tuple[tuple[int, ...], ...]:
-    # All ways of adding i boxes, no two in the same row.
+    # All ways of adding i boxes, no two in the same row.  Depth first on
+    # an explicit stack, so that no number of rows is too many: a frame
+    # (j, left, prev) sets row j-1 to prev and continues at row j.
     r = len(padded)
     out: list[tuple[int, ...]] = []
-
-    def rec(j: int, left: int, prev: int, acc: list[int]) -> None:
+    acc = [0] * r
+    stack = [(0, i, 10**9)]
+    while stack:
+        j, left, prev = stack.pop()
+        if j:
+            acc[j - 1] = prev
         if left > r - j:
-            return
+            continue
         if j == r:
             out.append(tuple(acc))
-            return
-        if padded[j] <= prev:
-            acc.append(padded[j])
-            rec(j + 1, left, padded[j], acc)
-            acc.pop()
+            continue
+        # pushed in reverse, so a row is kept before it grows
         if left and padded[j] + 1 <= prev:
-            acc.append(padded[j] + 1)
-            rec(j + 1, left - 1, padded[j] + 1, acc)
-            acc.pop()
-
-    rec(0, i, 10**9, [])
+            stack.append((j + 1, left - 1, padded[j] + 1))
+        if padded[j] <= prev:
+            stack.append((j + 1, left, padded[j]))
     return tuple(out)
 
 
 def _horizontal_strips(padded: tuple[int, ...], i: int) -> tuple[tuple[int, ...], ...]:
     # All ways of adding i boxes, no two in the same column:
     # row j may grow up to the length of row j-1 in the old shape.
+    # A frame (j, left, new) sets row j-1 to new and continues at row j.
     r = len(padded)
     out: list[tuple[int, ...]] = []
-
-    def rec(j: int, left: int, prev_old: int, acc: list[int]) -> None:
+    acc = [0] * r
+    stack = [(0, i, 0)]
+    while stack:
+        j, left, new = stack.pop()
+        if j:
+            acc[j - 1] = new
         if j == r:
             if left == 0:
                 out.append(tuple(acc))
-            return
-        hi = min(prev_old, padded[j] + left)
-        for new in range(padded[j], hi + 1):
-            acc.append(new)
-            rec(j + 1, left - (new - padded[j]), padded[j], acc)
-            acc.pop()
-
-    rec(0, i, padded[0] + i, [])
+            continue
+        low = padded[j]
+        prev_old = padded[j - 1] if j else low + i
+        # pushed in reverse, so the shortest row comes first
+        for new in range(min(prev_old, low + left), low - 1, -1):
+            stack.append((j + 1, left - (new - low), new))
     return tuple(out)
 
 

@@ -73,6 +73,7 @@ import enum
 import os
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, gcd
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -211,30 +212,32 @@ def necklaces(n: int, r: int) -> list[tuple[tuple[int, ...], int]]:
     A necklace is the lexicographically least rotation of a 0/1 string of
     length n; it is returned as the positions of its ones, an r-subset of
     {0..n-1}, together with its number of distinct rotations (its period).
-    The FKM recursion (Fredricksen-Kessler-Maiorana) visits prenecklaces in
-    lex order; branches that cannot end with exactly r ones are pruned
-    (Ruskey-Sawada fixed density).
+    The FKM search (Fredricksen-Kessler-Maiorana) visits prenecklaces in
+    lex order, depth first on an explicit stack so that no n is too long;
+    branches that cannot end with exactly r ones are pruned (Ruskey-Sawada
+    fixed density).
     """
     if not 0 <= r <= n:
         raise ValueError("density must satisfy 0 <= r <= n")
     out: list[tuple[tuple[int, ...], int]] = []
-    a = [0] * (n + 1)  # a[1..n] is the string; a[0] = 0 seeds the recursion
-
-    def extend(t: int, p: int, ones: int) -> None:
+    a = [0] * (n + 1)  # a[1..n] is the string; a[0] = 0 seeds the search
+    # (t, p, ones, bit): set a[t - 1] = bit, then extend a prenecklace of
+    # period p with `ones` ones from position t.  The copy branch is pushed
+    # last so that it is visited first, as the lex order needs.
+    stack = [(1, 1, 0, 0)]
+    while stack:
+        t, p, ones, bit = stack.pop()
+        a[t - 1] = bit
         if t > n:
             if n % p == 0:
                 out.append((tuple(k - 1 for k in range(1, n + 1) if a[k]), p))
-            return
+            continue
         room = n - t
         b = a[t - p]
-        if ones + b <= r <= ones + b + room:
-            a[t] = b
-            extend(t + 1, p, ones + b)
         if b == 0 and ones + 1 <= r <= ones + 1 + room:
-            a[t] = 1
-            extend(t + 1, t, ones + 1)
-
-    extend(1, 1, 0)
+            stack.append((t + 1, t, ones + 1, 1))
+        if ones + b <= r <= ones + b + room:
+            stack.append((t + 1, p, ones + b, b))
     return out
 
 
@@ -244,12 +247,23 @@ def _units(n: int) -> list[int]:
 
 
 def _least_rotation(subset: Iterable[int], n: int) -> tuple[int, ...]:
-    bits = [0] * n
-    for a in subset:
-        bits[a] = 1
-    doubled = bits + bits
-    shift = min(range(n), key=lambda s: doubled[s:s + n])
-    return tuple(sorted((a - shift) % n for a in subset))
+    """The necklace of an r-subset of Z/n, as its positions.
+
+    With 0 < 1, the least rotation of a 0/1 string with r >= 1 ones starts
+    just after a one, and reading it as the gaps between cyclically
+    consecutive ones, a longer first gap is a longer run of leading zeros.
+    So the least rotation is the one whose gap sequence is the greatest,
+    found in O(r^2) rather than O(n^2).
+    """
+    points = sorted(subset)
+    if not points:
+        return ()
+    r = len(points)
+    gaps = [b - a for a, b in zip(points, points[1:])] + [points[0] + n - points[-1]]
+    doubled = gaps + gaps
+    start = max(range(r), key=lambda i: doubled[i:i + r])
+    # the ones of the least rotation sit at the running gap sums, less one
+    return tuple(accumulate(doubled[start:start + r], initial=-1))[1:]
 
 
 @lru_cache(maxsize=64)

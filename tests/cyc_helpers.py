@@ -1,13 +1,15 @@
 """sigma_u and the field inverse of 1 - w^m on `Cyc`: references the tests
 check the engine's symmetries and its genus-0 weight against.  The package
-needs neither: the engine folds no sigma_u and divides by no root difference."""
+needs neither: the engine folds no sigma_u and divides by no root difference.
+The constant embedding and equality in Q[w]/Phi_n serve the tests alone too."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
 
-from quotcount.cyclotomic import Cyc, one, root_of_unity
+from quotcount.cyclotomic import Cyc, extract_rational, one, root_of_unity
+from quotcount.errors import NotRationalError
 
 
 def galois(x: Cyc, u: int) -> Cyc:
@@ -33,3 +35,17 @@ def inv_one_minus_root(n: int, m: int) -> Cyc:
         if k != m:
             acc = acc * (one(n) - root_of_unity(n, k))
     return acc.scale(Fraction(1, n))
+
+
+def rational(n: int, value) -> Cyc:
+    """Embed a rational number as the constant element of order n."""
+    return Cyc(n, [value] + [0] * (n - 1))
+
+
+def field_equal(x: Cyc, y: Cyc) -> bool:
+    """Equality in the field Q[w]/Phi_n (representatives may differ): x - y
+    reduces to the constant 0 modulo Phi_n."""
+    try:
+        return extract_rational(x - y) == 0
+    except NotRationalError:
+        return False

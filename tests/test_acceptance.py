@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from quotcount import vi_engine
-from quotcount.cyclotomic import field_equal, root_of_unity
+from quotcount.cyclotomic import root_of_unity
 from quotcount.qh_oracle import fixed_domain_count_g0
 from quotcount.symfunc import chern, complete_homogeneous, elementary, monomial, segre
 from quotcount.twist import (
@@ -35,6 +35,8 @@ from quotcount.vi_engine import (
     vi_integral_orbit_reduced,
     vi_integral_parallel,
 )
+
+from cyc_helpers import field_equal
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -513,13 +514,33 @@ batch_records = st.dictionaries(
 )
 
 
-@given(st.lists(st.one_of(batch_records.map(json.dumps), st.just("not json")), max_size=5))
+def without_stats(row):
+    return {key: value for key, value in row.items() if key != "stats"}
+
+
+# a few distinct lines, then a batch drawn from them with repeats
+batch_lines = st.lists(st.one_of(batch_records.map(json.dumps), st.just("not json")),
+                       min_size=1, max_size=4).flatmap(
+    lambda distinct: st.lists(st.sampled_from(distinct), max_size=8))
+
+
+@given(batch_lines)
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_batch_fuzz_gives_one_record_per_line(tmp_path, lines):
     code, rows = run_batch_lines(tmp_path, lines)
     assert len(rows) == len(lines) + 1
     assert rows[-1]["summary"] is True and rows[-1]["records"] == len(lines)
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_INTERNAL)
+    # a repeat is answered with its first occurrence's record, stats aside
+    first = {}
+    for line, row in zip(lines, rows):
+        if line in first:
+            assert without_stats(row) == without_stats(first[line])
+            assert row["stats"]["reused"] is True and row["stats"]["seconds"] >= 0
+        else:
+            first[line] = row
+            assert "reused" not in row.get("stats", {})
+    assert rows[-1]["stats"]["reused_records"] == len(lines) - len(first)
 
 
 def test_batch_empty_file(tmp_path):
@@ -689,3 +710,87 @@ def test_a_batch_run_twice_gives_the_same_records(tmp_path):
         for row in rows:
             row.pop("stats", None)
     assert runs[0] == runs[1]
+
+
+def test_a_bool_after_the_same_int_is_still_refused(tmp_path):
+    # JobRequest(g=True) == JobRequest(g=1): the batch keys on the line, not the request
+    as_int = '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:3"}'
+    code, rows = run_batch_lines(tmp_path, [as_int, as_int.replace('"g": 1', '"g": true')])
+    assert rows[0]["ok"] is True and rows[0]["value"]["exact"] == "3"
+    assert rows[1]["ok"] is False and rows[1]["error"]["type"] == "ValueError"
+    assert rows[1]["error"]["exit"] == EXIT_VALIDATION
+    assert "reused" not in rows[1]["stats"]
+    assert rows[-1]["stats"]["reused_records"] == 0
+    assert code == EXIT_VALIDATION
+
+
+def test_a_repeated_failure_is_the_same_error(tmp_path):
+    refused = b'{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:4"}'
+    not_utf8 = b'{"mode": "caf\xe9"}'
+    path = tmp_path / "failures.jsonl"
+    # surrounding ASCII whitespace is no part of the key
+    path.write_bytes(b"\n".join([refused, not_utf8, b"not json", b"  " + refused + b"\t",
+                                 not_utf8, b"not json "]) + b"\n")
+    buffer = io.StringIO()
+    code = run_batch(str(path), out=buffer)
+    rows = [json.loads(line) for line in buffer.getvalue().strip().splitlines()]
+    assert [row.get("error", {}).get("type") for row in rows[:3]] == [
+        "DimensionMismatchError", "UnicodeDecodeError", "JSONDecodeError"]
+    for first, again in zip(rows[:3], rows[3:6]):
+        assert again["error"] == first["error"] and again["error"]["exit"] == EXIT_VALIDATION
+        assert without_stats(again) == without_stats(first)
+        assert again["stats"]["reused"] is True
+    summary = rows[-1]
+    assert (summary["records"], summary["validation_errors"]) == (6, 6)
+    assert summary["stats"]["reused_records"] == 3
+    assert code == EXIT_VALIDATION
+
+
+def test_a_full_record_memo_evaluates_new_lines_without_storing_them(tmp_path, monkeypatch):
+    from quotcount import cli
+
+    monkeypatch.setattr(cli, "RECORD_MEMO_SIZE", 2)
+    lines = [
+        '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:3"}',
+        '{"mode": "grassmannian", "g": 1, "d": 0, "r": 2, "n": 4}',
+        '{"mode": "closed-form", "variant": "lg24", "g": 0, "d": 1, "m1": 6, "m2": 0}',
+    ]
+    code, rows = run_batch_lines(tmp_path, lines * 2)
+    assert [row["value"]["exact"] for row in rows[:-1]] == ["3", "6", "8"] * 2
+    assert [row["stats"].get("reused", False) for row in rows[:-1]] == [False] * 3 + [True, True, False]
+    assert rows[-1]["stats"]["reused_records"] == 2
+    assert code == EXIT_OK
+
+
+def test_reuse_changes_no_record_and_no_count(tmp_path, monkeypatch):
+    from quotcount import cli
+
+    lines = [
+        '{"mode": "hypersurface", "g": 1, "d": 2, "r": 2, "n": 4, "multidegree": [1], '
+        '"ins": "a1:4,a2:1", "path": "both"}',
+        '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:4"}',
+        "not json",
+        '{"mode": "oracle-check", "g": 0, "d": 1, "r": 2, "n": 4, "ins": "a1:8"}',
+    ]
+    batch = lines + lines[::-1] + lines
+    reused = run_batch_lines(tmp_path, batch)
+    monkeypatch.setattr(cli, "RECORD_MEMO_SIZE", 0)
+    evaluated = run_batch_lines(tmp_path, batch)
+    assert reused[0] == evaluated[0] == EXIT_VALIDATION
+    assert [without_stats(row) for row in reused[1]] == [without_stats(row) for row in evaluated[1]]
+    assert reused[1][-1]["stats"]["reused_records"] == len(batch) - len(lines)
+    assert evaluated[1][-1]["stats"]["reused_records"] == 0
+    assert reused[1][-1]["path_agreement"] == {"checked": 3, "agreed": 3, "pass": True}
+
+
+def test_a_line_with_n_1200_does_not_end_its_batch(tmp_path):
+    # necklaces of length 1200 once recursed past the interpreter's stack limit
+    started = time.perf_counter()
+    code, rows = run_batch_lines(tmp_path, [
+        '{"mode": "grassmannian", "g": 1, "d": 0, "r": 1, "n": 1200}',
+        '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:3"}',
+    ])
+    elapsed = time.perf_counter() - started
+    assert [row["value"]["exact"] for row in rows[:-1]] == ["1200", "3"]
+    assert rows[-1]["records"] == 2 and code == EXIT_OK
+    assert elapsed < 2.0, elapsed

@@ -11,15 +11,13 @@ from quotcount.cyclotomic import (
     Cyc,
     cyclotomic_polynomial,
     extract_rational,
-    field_equal,
     one,
-    rational,
     root_of_unity,
     zero,
 )
 from quotcount.errors import NotRationalError, OrderMismatchError
 
-from cyc_helpers import galois, inv_one_minus_root
+from cyc_helpers import field_equal, galois, inv_one_minus_root, rational
 
 
 def naive_mul(x: Cyc, y: Cyc) -> Cyc:

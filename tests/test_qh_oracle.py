@@ -217,3 +217,8 @@ def test_paired_count_matches_the_sequential_product(case):
         c = multiply(c, ins.index)
     box = Partition(((n - r),) * r)
     assert fixed_domain_count_g0(r, n, d, insertions) == c.coefficient(box, d)
+
+
+def test_a_thousand_rows_need_no_deep_stack():
+    # the Pieri strips of G(1000, 1001) once recursed once per row
+    assert fixed_domain_count_g0(1000, 1001, 0, [chern(1)] * 1000) == 1

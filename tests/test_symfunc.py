@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quotcount.cyclotomic import Cyc, field_equal, one, root_of_unity, zero
+from quotcount.cyclotomic import Cyc, one, root_of_unity, zero
 from quotcount.symfunc import (
     Insertion,
     chern,
@@ -18,6 +18,8 @@ from quotcount.symfunc import (
     segre,
     weighted_degree,
 )
+
+from cyc_helpers import field_equal
 
 
 def brute_elementary(i, tup):

@@ -14,7 +14,6 @@ from quotcount import vi_engine
 from quotcount.cyclotomic import (
     Cyc,
     extract_rational,
-    field_equal,
     one,
     root_of_unity,
     zero,
@@ -45,7 +44,7 @@ from quotcount.vi_engine import (
     vi_integral_parallel,
 )
 
-from cyc_helpers import galois, inv_one_minus_root
+from cyc_helpers import field_equal, galois, inv_one_minus_root
 
 
 def hyperplanes(k):
@@ -90,6 +89,29 @@ def test_affine_orbits_partition_the_subsets():
             ]
             assert [len(o) for o in orbits] == [size for _, size in reps], (n, r)
             assert len(frozenset().union(*orbits)) == comb(n, r), (n, r)
+
+
+def test_affine_orbits_are_the_least_strings_of_their_orbits():
+    # brute force: every image of every subset under x -> u*x + t, and the
+    # representative is the image whose 0/1 string is lexicographically least
+    def string(subset, n):
+        return tuple(int(k in subset) for k in range(n))
+
+    for n in range(1, 13):
+        group = [u for u in range(1, n + 1) if gcd(u, n) == 1]
+        for r in range(n + 1):
+            orbits = {}
+            for subset in combinations(range(n), r):
+                images = {tuple(sorted((u * a + t) % n for a in subset))
+                          for u in group for t in range(n)}
+                orbits[min(images, key=lambda s: string(s, n))] = len(images)
+            expected = sorted(orbits.items(), key=lambda rep: string(rep[0], n))
+            assert list(affine_orbits(n, r)) == expected, (n, r)
+
+
+def test_necklaces_of_a_long_string_need_no_deep_stack():
+    assert necklaces(1200, 1) == [((1199,), 1200)]
+    assert affine_orbits(1200, 1) == (((1199,), 1200),)
 
 
 def plain_total(spec, ins):
