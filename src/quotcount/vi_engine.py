@@ -35,7 +35,7 @@ The sum is folded over the affine group I -> u*I + t (gcd(u, n) = 1)
 acting on exponent subsets.  In top degree a rotation (t) leaves each
 summand unchanged exactly, and a unit u maps it by the ring automorphism
 sigma_u: w -> w^u.  Subsets are therefore visited as binary necklaces
-(least rotations, generated by a density-pruned FKM recursion), necklaces
+(least rotations, generated by a density-pruned FKM search), necklaces
 that a unit maps onto each other are merged, and one summand is evaluated
 per affine orbit, weighted by the orbit's size.  The full subset sum
 is the average of sigma_u(S) over the units u of Z/n for that weighted
@@ -253,7 +253,7 @@ def _least_rotation(subset: Iterable[int], n: int) -> tuple[int, ...]:
     just after a one, and reading it as the gaps between cyclically
     consecutive ones, a longer first gap is a longer run of leading zeros.
     So the least rotation is the one whose gap sequence is the greatest,
-    found in O(r^2) rather than O(n^2).
+    found in O(r^2) time, whatever n is.
     """
     points = sorted(subset)
     if not points:
