@@ -62,19 +62,13 @@ class JobRequest(NamedTuple):
 
 
 class JobResult:
-    def __init__(self, mode: Optional[str], ok: bool, value: Optional[Fraction] = None,
-                 is_integer: Optional[bool] = None, advisory: Optional[vi_engine.Advisory] = None,
-                 dims: Optional[dict] = None, blocks: Optional[dict] = None,
-                 stats: Optional[dict] = None, error: Optional[dict] = None):
+    def __init__(self, mode: Optional[str], ok: bool, error: Optional[dict] = None):
         self.mode = mode  # None on a batch line that is not a request
-        self.ok, self.value, self.is_integer, self.advisory = ok, value, is_integer, advisory
-        # the record's value block; run() builds it where a failure is caught
-        self.value_fields = None if value is None else _value_fields(value)
-        self.dims = {} if dims is None else dims
-        # the mode's own report: paths, duality, oracle or tevelev
-        self.blocks = {} if blocks is None else blocks
-        self.stats = {} if stats is None else stats
-        self.error = error
+        self.ok, self.error = ok, error
+        # run() fills the rest, and builds the value block where a failure is caught
+        self.value = self.is_integer = self.advisory = self.value_fields = None
+        # blocks is the mode's own report: paths, duality, oracle or tevelev
+        self.dims, self.blocks, self.stats = {}, {}, {}
 
     def to_dict(self) -> dict:
         out: dict = {"schema": SCHEMA, "mode": self.mode, "ok": self.ok}

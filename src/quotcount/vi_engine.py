@@ -35,7 +35,7 @@ The sum is folded over the affine group I -> u*I + t (gcd(u, n) = 1)
 acting on exponent subsets.  In top degree a rotation (t) leaves each
 summand unchanged exactly, and a unit u maps it by the ring automorphism
 sigma_u: w -> w^u.  Subsets are therefore visited as binary necklaces
-(least rotations, generated by a density-pruned FKM search), necklaces
+(least rotations, generated in gap form by an FKM walk), necklaces
 that a unit maps onto each other are merged, and one summand is evaluated
 per affine orbit, weighted by the orbit's size.  The full subset sum
 is the average of sigma_u(S) over the units u of Z/n for that weighted
@@ -209,35 +209,40 @@ def iter_colex(n: int, r: int) -> Iterator[tuple[int, ...]]:
 def necklaces(n: int, r: int) -> list[tuple[tuple[int, ...], int]]:
     """Binary necklaces of length n with r ones, each with its rotation-orbit size.
 
-    A necklace is the lexicographically least rotation of a 0/1 string of
-    length n; it is returned as the positions of its ones, an r-subset of
-    {0..n-1}, together with its number of distinct rotations (its period).
-    The FKM search (Fredricksen-Kessler-Maiorana) visits prenecklaces in
-    lex order, depth first on an explicit stack so that no n is too long;
-    branches that cannot end with exactly r ones are pruned (Ruskey-Sawada
-    fixed density).
+    Each is the least rotation of a 0/1 string of length n, given as the
+    positions of its ones with its number of distinct rotations, in
+    ascending string order.  The least string has the greatest gaps
+    a[1..r] between its ones (`_least_rotation`), so an FKM walk
+    (Fredricksen-Kessler-Maiorana) on an explicit stack visits the gaps in
+    descending order, kept to 1..a[1] and summing to n (Ruskey-Sawada,
+    fixed density); gaps of period p | r make a string of period n*p/r.
+
+    >>> necklaces(6, 2)
+    [((4, 5), 6), ((3, 5), 6), ((2, 5), 3)]
     """
     if not 0 <= r <= n:
         raise ValueError("density must satisfy 0 <= r <= n")
+    if r == 0:
+        return [((), 1)]
     out: list[tuple[tuple[int, ...], int]] = []
-    a = [0] * (n + 1)  # a[1..n] is the string; a[0] = 0 seeds the search
-    # (t, p, ones, bit): set a[t - 1] = bit, then extend a prenecklace of
-    # period p with `ones` ones from position t.  The copy branch is pushed
-    # last so that it is visited first, as the lex order needs.
-    stack = [(1, 1, 0, 0)]
+    a = [n] * (r + 1)  # a[1..r] are the gaps; a[0] = n seeds the search
+    # (t, p, s, x): a[t] = x ends gaps a[1..t] of period p and sum s.  The
+    # next gap copies a[t + 1 - p], keeping p, or is smaller, starting
+    # period t + 1; the copy is pushed last, so it is visited first.  No
+    # later gap exceeds a[1], which at t + 1 = 1 is the next gap itself.
+    stack = [(0, 1, 0, n)]
     while stack:
-        t, p, ones, bit = stack.pop()
-        a[t - 1] = bit
-        if t > n:
-            if n % p == 0:
-                out.append((tuple(k - 1 for k in range(1, n + 1) if a[k]), p))
+        t, p, s, x = stack.pop()
+        a[t] = x
+        if t == r:
+            if r % p == 0:
+                out.append((tuple(accumulate(a[1:], initial=-1))[1:], n * p // r))
             continue
-        room = n - t
+        t += 1
         b = a[t - p]
-        if b == 0 and ones + 1 <= r <= ones + 1 + room:
-            stack.append((t + 1, t, ones + 1, 1))
-        if ones + b <= r <= ones + b + room:
-            stack.append((t + 1, p, ones + b, b))
+        hi = min(b, n - s - (r - t))
+        lo = max(1, n - s - (r - t) * a[1]) if t > 1 else -(-n // r)
+        stack.extend((t, p if y == b else t, s + y, y) for y in range(lo, hi + 1))
     return out
 
 

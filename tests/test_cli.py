@@ -784,13 +784,15 @@ def test_reuse_changes_no_record_and_no_count(tmp_path, monkeypatch):
 
 
 def test_a_line_with_n_1200_does_not_end_its_batch(tmp_path):
-    # necklaces of length 1200 once recursed past the interpreter's stack limit
+    # necklaces of length 1200 once recursed past the interpreter's stack
+    # limit, and with two ones once took half a minute to enumerate
     started = time.perf_counter()
     code, rows = run_batch_lines(tmp_path, [
         '{"mode": "grassmannian", "g": 1, "d": 0, "r": 1, "n": 1200}',
+        '{"mode": "grassmannian", "g": 1, "d": 0, "r": 2, "n": 1200}',
         '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:3"}',
     ])
     elapsed = time.perf_counter() - started
-    assert [row["value"]["exact"] for row in rows[:-1]] == ["1200", "3"]
-    assert rows[-1]["records"] == 2 and code == EXIT_OK
+    assert [row["value"]["exact"] for row in rows[:-1]] == ["1200", "719400", "3"]
+    assert rows[-1]["records"] == 3 and code == EXIT_OK
     assert elapsed < 2.0, elapsed

@@ -66,10 +66,17 @@ def rotation_class(subset, n):
     return frozenset(tuple(sorted((a + t) % n for a in subset)) for t in range(n))
 
 
+def string(subset, n):
+    return tuple(int(k in subset) for k in range(n))
+
+
 def test_necklace_orbit_sizes_cover_every_subset():
     for n in range(1, 13):
         for r in range(n + 1):
             found = necklaces(n, r)
+            # affine_orbits keeps the first necklace of each orbit, the least
+            strings = [string(subset, n) for subset, _ in found]
+            assert strings == sorted(strings), (n, r)
             assert sum(size for _, size in found) == comb(n, r), (n, r)
             classes = [rotation_class(subset, n) for subset, _ in found]
             assert len(set(classes)) == len(classes), (n, r)
@@ -94,9 +101,6 @@ def test_affine_orbits_partition_the_subsets():
 def test_affine_orbits_are_the_least_strings_of_their_orbits():
     # brute force: every image of every subset under x -> u*x + t, and the
     # representative is the image whose 0/1 string is lexicographically least
-    def string(subset, n):
-        return tuple(int(k in subset) for k in range(n))
-
     for n in range(1, 13):
         group = [u for u in range(1, n + 1) if gcd(u, n) == 1]
         for r in range(n + 1):
@@ -112,6 +116,9 @@ def test_affine_orbits_are_the_least_strings_of_their_orbits():
 def test_necklaces_of_a_long_string_need_no_deep_stack():
     assert necklaces(1200, 1) == [((1199,), 1200)]
     assert affine_orbits(1200, 1) == (((1199,), 1200),)
+    for n, r, count in ((1200, 2, 600), (200, 3, 6567)):
+        found = necklaces(n, r)
+        assert len(found) == count and sum(size for _, size in found) == comb(n, r)
 
 
 def plain_total(spec, ins):
