@@ -170,14 +170,21 @@ def _plain_dims(spec: GrassmannSpec, monomial: Monomial, **extra) -> dict:
     return {"virtual_dim": spec.virtual_dim, **extra, "insertion_degree": _degree(monomial)}
 
 
-def _grassmannian(req: JobRequest, monomial: Monomial, result: JobResult) -> VirtualCount:
-    spec = _spec(req)
-    result.dims = _plain_dims(spec, monomial)
+def _engine_count(spec: GrassmannSpec, req: JobRequest, monomial: Monomial,
+                  result: JobResult) -> tuple[VirtualCount, Insertions]:
+    """The plain engine integral of the request and its insertions; the
+    engine's work goes to the record's stats."""
     result.stats["subsets"] = spec.subset_count
     insertions = _expand(monomial, partial(vi_engine._validate, spec))
     count = vi_engine.vi_integral(spec, insertions, req.workers)
     result.stats.update(summands=count.summands, workers=count.workers)
-    return count
+    return count, insertions
+
+
+def _grassmannian(req: JobRequest, monomial: Monomial, result: JobResult) -> VirtualCount:
+    spec = _spec(req)
+    result.dims = _plain_dims(spec, monomial)
+    return _engine_count(spec, req, monomial, result)[0]
 
 
 def _section(req: JobRequest, monomial: Monomial, result: JobResult,
@@ -261,8 +268,7 @@ def _oracle_check(req: JobRequest, monomial: Monomial, result: JobResult) -> Vir
     if req.g != 0:
         raise ValueError("the combinatorial oracle is a genus-0 check")
     spec = _spec(req)
-    insertions = _expand(monomial, partial(vi_engine._validate, spec))
-    count = vi_engine.vi_integral(spec, insertions, req.workers)
+    count, insertions = _engine_count(spec, req, monomial, result)
     oracle_value = qh_oracle.fixed_domain_count_g0(req.r, spec.n, req.d, insertions)
     result.blocks["oracle"] = {
         "engine": _exact_str(count.value),
@@ -517,7 +523,9 @@ _BATCH_KEYS = {key: (name, _FROM_JSON.get(f.kind))
 _RECORD_KEYS = frozenset(_BATCH_KEYS) | {"mode"}
 
 
-def _request_from_record(record: dict) -> JobRequest:
+def _request_from_record(record: object) -> JobRequest:
+    if not isinstance(record, dict):
+        raise ValueError(f"a batch line must be a JSON object, got {type(record).__name__}")
     if not _RECORD_KEYS.issuperset(record):
         raise ValueError(f"unknown batch fields: {sorted(set(record) - _RECORD_KEYS)}")
     if "mode" not in record or record["mode"] not in MODES:
@@ -549,27 +557,44 @@ def run_batch(path: str, out=None) -> int:
     that is not UTF-8 fails alone; CR, LF and CRLF end a line, as in text
     mode.  A line byte-identical to an earlier one (surrounding ASCII
     whitespace aside) is not evaluated again: its record is the first
-    one's, with `stats.reused` true and `stats.seconds` its own time.  The
-    first `RECORD_MEMO_SIZE` distinct lines are remembered.  Returns the
-    worst exit code of any record.
+    one's text with only `stats` encoded anew, holding `stats.reused`
+    true and `stats.seconds` its own time.  The first `RECORD_MEMO_SIZE`
+    distinct lines are remembered.  Returns the worst exit code of any
+    record.
     """
     with open(path, "rb") as handle:
         return _run_lines(handle, out if out is not None else sys.stdout)
 
 
-# Distinct lines whose records one batch remembers; later new lines are
-# evaluated and not stored.  The benchmark's batch-mixed file has 1,373.
+# Distinct lines whose encoded records one batch remembers (as text split
+# around its stats); later new lines are evaluated and not stored.  The
+# benchmark's batch-mixed file has 1,373.
 RECORD_MEMO_SIZE = 4096
+
+
+def _split_stats(text: str, stats: Optional[dict]) -> tuple[str, dict, str]:
+    """(head, stats, tail) of a record's encoding `text`, such that
+    `head + _encode(stats) + tail == text`.  Keys are sorted and JSON
+    escapes every quote inside a string, so the last `"stats": {...}` is
+    the record's own: the keys after it (tevelev, value) hold only
+    program-made numbers and flags.  A record without stats is a line that
+    is not a request, whose keys all sort before `stats`."""
+    if stats is None:
+        return text[:-1] + ', "stats": ', {}, "}"
+    head, found, tail = text.rpartition('"stats": ' + _encode(stats))
+    assert found, "a record's stats must appear in its encoding"
+    return head + '"stats": ', stats, tail
 
 
 def _run_lines(handle, out) -> int:
     """`run_batch` on an open binary file."""
     exits: Counter = Counter()
     agreements = []
-    # stripped line bytes -> (record, exit code).  Keyed by bytes, not by
-    # the parsed request: JobRequest(g=True) == JobRequest(g=1), but only
-    # the second passes run()'s type checks.
-    firsts: dict[bytes, tuple[dict, int]] = {}
+    # stripped line bytes -> (head, stats, tail, exit code, path agreement)
+    # of the first record's text.  Keyed by bytes, not by the parsed
+    # request: JobRequest(g=True) == JobRequest(g=1), but only the second
+    # passes run()'s type checks.
+    firsts: dict[bytes, tuple[str, dict, str, int, Optional[bool]]] = {}
     reused = 0
     memo_before = vi_engine._certified_count.cache_info()
     for raw in (line for chunk in handle for line in chunk.splitlines()):
@@ -578,10 +603,10 @@ def _run_lines(handle, out) -> int:
         first = firsts.get(key)
         if first is not None:
             # Every part of a record is a function of the line except its
-            # timing; the stored record is never mutated.
-            record, code = first
-            record = {**record, "stats": {**record.get("stats", {}), "reused": True,
-                                          "seconds": round(time.perf_counter() - started, 6)}}
+            # timing, so only the stats are encoded again.
+            head, stats, tail, code, agree = first
+            text = head + _encode({**stats, "reused": True,
+                                   "seconds": round(time.perf_counter() - started, 6)}) + tail
             reused += 1
         else:
             try:
@@ -595,12 +620,14 @@ def _run_lines(handle, out) -> int:
             else:
                 result = run(request)
             record, code = result.to_dict(), _exit_code(result)
+            text = _encode(record)
+            agree = record["paths"]["agree"] if "paths" in record else None
             if len(firsts) < RECORD_MEMO_SIZE:
-                firsts[key] = record, code
-        if "paths" in record:
-            agreements.append(record["paths"]["agree"])
+                firsts[key] = (*_split_stats(text, record.get("stats")), code, agree)
+        if agree is not None:
+            agreements.append(agree)
         exits[code] += 1
-        out.write(_encode(record) + "\n")
+        out.write(text + "\n")
     memo = vi_engine._certified_count.cache_info()
     summary = {
         "schema": SCHEMA,

@@ -114,6 +114,9 @@ def test_oracle_mode(capsys):
     assert code == EXIT_OK
     record = last_json(out)
     assert record["oracle"] == {"engine": "8", "oracle": "8", "equal": True}
+    # the engine count's work, as a grassmannian record reports it
+    stats = record["stats"]
+    assert (stats["subsets"], stats["summands"], stats["workers"]) == (6, 2, 1)
 
 
 def test_tevelev_mode(capsys):
@@ -190,14 +193,19 @@ def test_batch_tolerates_malformed_records(tmp_path):
         "not json at all\n"
         '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:3"}\n'
         '{"mode": "grassmannian", "unknown_field": 1}\n'
+        # JSON, but not an object
+        '"abc"\n["mode"]\n5\nnull\n'
     )
     buffer = io.StringIO()
     code = run_batch(str(path), out=buffer)
     rows = [json.loads(line) for line in buffer.getvalue().strip().splitlines()]
+    assert [row["error"] for row in rows[3:7]] == [
+        {"type": "ValueError", "message": f"a batch line must be a JSON object, got {kind}",
+         "exit": EXIT_VALIDATION} for kind in ("str", "list", "int", "NoneType")]
     summary = rows[-1]
-    assert summary["records"] == 3
+    assert summary["records"] == 7
     assert summary["ok"] == 1
-    assert summary["validation_errors"] == 2
+    assert summary["validation_errors"] == 6
     assert code == EXIT_VALIDATION
 
 
@@ -220,12 +228,22 @@ def test_batch_survives_unknown_insertion_kind(tmp_path):
     assert code == EXIT_VALIDATION
 
 
+def encoded_rows(text):
+    """The records of a batch's output, each checked to be written exactly as
+    json.dumps with sorted keys writes it, reused records included."""
+    rows = []
+    for line in text.strip().splitlines():
+        rows.append(json.loads(line))
+        assert line == json.dumps(rows[-1], sort_keys=True)
+    return rows
+
+
 def run_batch_lines(tmp_path, lines):
     path = tmp_path / "jobs.jsonl"
     path.write_text("".join(line + "\n" for line in lines))
     buffer = io.StringIO()
     code = run_batch(str(path), out=buffer)
-    return code, [json.loads(line) for line in buffer.getvalue().strip().splitlines()]
+    return code, encoded_rows(buffer.getvalue())
 
 
 def test_batch_refuses_non_integer_fields(tmp_path):
@@ -733,7 +751,8 @@ def test_a_repeated_failure_is_the_same_error(tmp_path):
                                  not_utf8, b"not json "]) + b"\n")
     buffer = io.StringIO()
     code = run_batch(str(path), out=buffer)
-    rows = [json.loads(line) for line in buffer.getvalue().strip().splitlines()]
+    # the first records of the last two lines have no stats to split around
+    rows = encoded_rows(buffer.getvalue())
     assert [row.get("error", {}).get("type") for row in rows[:3]] == [
         "DimensionMismatchError", "UnicodeDecodeError", "JSONDecodeError"]
     for first, again in zip(rows[:3], rows[3:6]):
