@@ -172,8 +172,7 @@ def _plain_dims(spec: GrassmannSpec, monomial: Monomial, **extra) -> dict:
 
 def _engine_count(spec: GrassmannSpec, req: JobRequest, monomial: Monomial,
                   result: JobResult) -> tuple[VirtualCount, Insertions]:
-    """The plain engine integral of the request and its insertions; the
-    engine's work goes to the record's stats."""
+    """The engine's plain integral and the insertions; its work goes to stats."""
     result.stats["subsets"] = spec.subset_count
     insertions = _expand(monomial, partial(vi_engine._validate, spec))
     count = vi_engine.vi_integral(spec, insertions, req.workers)
@@ -573,12 +572,11 @@ RECORD_MEMO_SIZE = 4096
 
 
 def _split_stats(text: str, stats: Optional[dict]) -> tuple[str, dict, str]:
-    """(head, stats, tail) of a record's encoding `text`, such that
-    `head + _encode(stats) + tail == text`.  Keys are sorted and JSON
-    escapes every quote inside a string, so the last `"stats": {...}` is
-    the record's own: the keys after it (tevelev, value) hold only
-    program-made numbers and flags.  A record without stats is a line that
-    is not a request, whose keys all sort before `stats`."""
+    """(head, stats, tail) with `head + _encode(stats) + tail == text`, the
+    record's encoding.  Keys are sorted and JSON escapes every quote in a
+    string, so the last `"stats": {...}` is the record's own: the keys after
+    it (tevelev, value) hold only program-made numbers and flags.  A record
+    without stats is a line that is not a request; its keys sort before."""
     if stats is None:
         return text[:-1] + ', "stats": ', {}, "}"
     head, found, tail = text.rpartition('"stats": ' + _encode(stats))

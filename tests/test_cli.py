@@ -536,8 +536,10 @@ def without_stats(row):
     return {key: value for key, value in row.items() if key != "stats"}
 
 
-# a few distinct lines, then a batch drawn from them with repeats
-batch_lines = st.lists(st.one_of(batch_records.map(json.dumps), st.just("not json")),
+# a few distinct lines, then a batch drawn from them with repeats; the last
+# fixed line names a field that reads like a record's stats
+batch_lines = st.lists(st.one_of(batch_records.map(json.dumps), st.just("not json"),
+                                 st.just(json.dumps({'"stats": {"seconds": 0.0}': 1}))),
                        min_size=1, max_size=4).flatmap(
     lambda distinct: st.lists(st.sampled_from(distinct), max_size=8))
 
