@@ -26,6 +26,7 @@ from .errors import (
 from .qh_oracle import Partition, QClass, fixed_domain_count_g0, pieri_multiply
 from .symfunc import (
     Insertion,
+    Monomial,
     chern,
     complete_homogeneous,
     elementary,

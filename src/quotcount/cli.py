@@ -17,12 +17,11 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
-from . import qh_oracle, symfunc, twist, vi_engine
+from . import qh_oracle, twist, vi_engine
 from .errors import DimensionMismatchError, QuotcountError, RegimeViolationError
-from .symfunc import CHERN, SEGRE, Insertion
+from .symfunc import CHERN, SEGRE, Insertion, Monomial
 from .twist import BClassWord, ProblemSpec
 from .vi_engine import GrassmannSpec, VirtualCount
 
@@ -36,9 +35,6 @@ EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
 
 VALIDATION_ERRORS = (DimensionMismatchError, RegimeViolationError, ValueError)
-
-Insertions = tuple[Insertion, ...]
-Monomial = tuple[tuple[Insertion, int], ...]  # (insertion, exponent) pairs
 
 # One encoder for every JSON line: json.dumps with sort_keys builds a new one per call.
 _encode = json.JSONEncoder(sort_keys=True).encode
@@ -134,31 +130,10 @@ def parse_insertions(text: str) -> tuple[tuple[str, int, int], ...]:
     return tuple(out)
 
 
-def _monomial(triples: Sequence[tuple[str, int, int]]) -> Monomial:
-    """The (insertion, exponent) pairs of the request; every mode refuses an
-    unknown kind or an index below 1 here."""
-    return tuple((Insertion(kind, index), exponent) for kind, index, exponent in triples)
-
-
-def _degree(monomial: Monomial) -> int:
-    return sum(ins.index * exponent for ins, exponent in monomial)
-
-
-def _expand(monomial: Monomial, check) -> Insertions:
-    """The monomial's insertions, expanded only once `check(present, degree)`
-    passes: `present` holds each insertion with a positive exponent once, in
-    order, so a check of single insertions sees what the expansion would
-    show it, and `degree` is the weighted degree.  A huge exponent is thus
-    refused without building one tuple entry per unit of it."""
-    check(tuple(ins for ins, exponent in monomial if exponent), _degree(monomial))
-    return symfunc.monomial(*monomial)
-
-
 # -- one runner per mode ------------------------------------------------------
 # A runner validates what its mode needs, fills the result's dims, blocks and
-# stats, and returns the count whose value the record reports.  It expands
-# the insertions through `_expand`, whose check runs the refusals the mode's
-# own call would run before its degree check, in the same order.
+# stats, and returns the count whose value the record reports.  It hands the
+# request's monomial to the counting function, which runs the refusals.
 
 def _spec(req: JobRequest) -> GrassmannSpec:
     if req.n is None:
@@ -167,42 +142,36 @@ def _spec(req: JobRequest) -> GrassmannSpec:
 
 
 def _plain_dims(spec: GrassmannSpec, monomial: Monomial, **extra) -> dict:
-    return {"virtual_dim": spec.virtual_dim, **extra, "insertion_degree": _degree(monomial)}
+    return {"virtual_dim": spec.virtual_dim, **extra, "insertion_degree": monomial.degree}
 
 
 def _engine_count(spec: GrassmannSpec, req: JobRequest, monomial: Monomial,
-                  result: JobResult) -> tuple[VirtualCount, Insertions]:
-    """The engine's plain integral and the insertions; its work goes to stats."""
+                  result: JobResult) -> VirtualCount:
+    """The engine's plain integral; its work goes to stats."""
     result.stats["subsets"] = spec.subset_count
-    insertions = _expand(monomial, partial(vi_engine._validate, spec))
-    count = vi_engine.vi_integral(spec, insertions, req.workers)
+    count = vi_engine.vi_integral(spec, monomial, req.workers)
     result.stats.update(summands=count.summands, workers=count.workers)
-    return count, insertions
+    return count
 
 
 def _grassmannian(req: JobRequest, monomial: Monomial, result: JobResult) -> VirtualCount:
     spec = _spec(req)
     result.dims = _plain_dims(spec, monomial)
-    return _engine_count(spec, req, monomial, result)[0]
+    return _engine_count(spec, req, monomial, result)
 
 
-def _section(req: JobRequest, monomial: Monomial, result: JobResult,
-             check=twist._check_section) -> ProblemSpec:
-    """The section problem, its insertions expanded once `check(problem,
-    degree)` passes: the section checks, or the hypersurface's."""
+def _section(req: JobRequest, monomial: Monomial, result: JobResult) -> ProblemSpec:
     base = _spec(req)
     if not req.multidegree:
         raise ValueError("a section multidegree is required (--l)")
-    problem = ProblemSpec(base, req.multidegree, ())
+    problem = ProblemSpec(base, req.multidegree, monomial)
     result.dims = _plain_dims(base, monomial, twisted_dim=problem.twisted_dim)
     result.stats["subsets"] = base.subset_count
-    insertions = _expand(monomial, lambda present, degree: check(problem, degree))
-    return ProblemSpec(base, req.multidegree, insertions)
+    return problem
 
 
 def _hypersurface(req: JobRequest, monomial: Monomial, result: JobResult) -> VirtualCount:
-    problem = _section(req, monomial, result, partial(
-        twist._check_hypersurface, both_paths=req.path != "closed"))
+    problem = _section(req, monomial, result)
     if req.path == "closed":
         return twist.hypersurface_integral(problem, req.workers)
     closed, phi, agree = twist.hypersurface_both_paths(problem, req.workers)
@@ -230,8 +199,7 @@ def _closed_form(req: JobRequest, monomial: Monomial, result: JobResult) -> Virt
 
 def _duality_check(req: JobRequest, monomial: Monomial, result: JobResult) -> VirtualCount:
     spec = _spec(req)
-    insertions = _expand(monomial, partial(vi_engine._check_duality, spec))
-    report = vi_engine.duality_check(spec, insertions, req.workers)
+    report = vi_engine.duality_check(spec, monomial, req.workers)
     result.blocks["duality"] = {
         "chern_side": _exact_str(report.chern_side.value),
         "segre_side": _exact_str(report.segre_side.value),
@@ -243,9 +211,7 @@ def _duality_check(req: JobRequest, monomial: Monomial, result: JobResult) -> Vi
 
 def _b_reduce(req: JobRequest, monomial: Monomial, result: JobResult) -> VirtualCount:
     base = _spec(req)
-    insertions = _expand(monomial, lambda present, degree: twist._check_b_word(
-        BClassWord(req.b_pairs, present), base, degree))
-    count = twist.reduce_b_classes(BClassWord(req.b_pairs, insertions), base, req.workers)
+    count = twist.reduce_b_classes(BClassWord(req.b_pairs, monomial), base, req.workers)
     result.dims = _plain_dims(base, monomial, pairs=len(req.b_pairs))
     return count
 
@@ -267,8 +233,8 @@ def _oracle_check(req: JobRequest, monomial: Monomial, result: JobResult) -> Vir
     if req.g != 0:
         raise ValueError("the combinatorial oracle is a genus-0 check")
     spec = _spec(req)
-    count, insertions = _engine_count(spec, req, monomial, result)
-    oracle_value = qh_oracle.fixed_domain_count_g0(req.r, spec.n, req.d, insertions)
+    count = _engine_count(spec, req, monomial, result)
+    oracle_value = qh_oracle.fixed_domain_count_g0(req.r, spec.n, req.d, monomial)
     result.blocks["oracle"] = {
         "engine": _exact_str(count.value),
         "oracle": str(oracle_value),
@@ -298,7 +264,9 @@ def run(req: JobRequest) -> JobResult:
         _check_fields(req)
         if req.workers < 1:
             raise ValueError("workers must be a positive integer")
-        monomial = _monomial(req.insertions)
+        # the product of the request's insertions; every mode refuses an
+        # unknown kind or an index below 1 here
+        monomial = Monomial((Insertion(kind, i), x) for kind, i, x in req.insertions)
         if req.mode not in MODES:
             raise ValueError(f"unknown mode {req.mode!r}")
         count = RUNNERS[req.mode](req, monomial, result)
@@ -607,14 +575,18 @@ def _run_lines(handle, out) -> int:
                                    "seconds": round(time.perf_counter() - started, 6)}) + tail
             reused += 1
         else:
+            mode = None  # the record's mode, once the line names a known one
             try:
                 line = raw.decode("utf-8").strip()
                 if not line or line.startswith("#"):
                     continue
-                request = _request_from_record(json.loads(line))
+                parsed = json.loads(line)
+                if isinstance(parsed, dict) and parsed.get("mode") in MODES:
+                    mode = parsed["mode"]
+                request = _request_from_record(parsed)
             except (ValueError, TypeError, KeyError, RecursionError) as exc:
                 # UnicodeDecodeError is a ValueError; RecursionError: a line nested too deeply to parse
-                result = JobResult(mode=None, ok=False, error=_error(exc, EXIT_VALIDATION))
+                result = JobResult(mode=mode, ok=False, error=_error(exc, EXIT_VALIDATION))
             else:
                 result = run(request)
             record, code = result.to_dict(), _exit_code(result)

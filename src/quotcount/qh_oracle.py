@@ -23,11 +23,13 @@ How the count is organised:
   table (`_pieri_row`): the strips on the shape, each reduced into the
   box, merged, zero coefficients dropped.  `QClass` products and the
   count both read it, so the module has one Pieri implementation.
-- Largest index first.  The ring is commutative, so the count sorts the
+- Largest index first.  The ring is commutative, so the count takes the
   insertions by descending index: the rows with the most strips are then
   built while the class still has few terms.
-- Two half-products paired by duality.  The sorted insertions are dealt
-  alternately into halves A and B, each multiplied out from the unit.
+- Two half-products paired by duality.  The insertions, in that order,
+  are dealt alternately into halves A and B (each exponent split between
+  the halves as the factors would be dealt one at a time), each
+  multiplied out from the unit.
   The count is the coefficient of sigma_box q^d in A * B, which is
   sum_lambda A_lambda * B_lambda^vee, with lambda^vee the complement of
   lambda in the box.  The reason is the fundamental-class axiom (Bertram,
@@ -44,7 +46,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import QuotcountError
-from .symfunc import CHERN, SEGRE, Insertion, check_degree
+from .symfunc import CHERN, SEGRE, Insertion, Monomial, as_monomial, check_degree
 
 
 class Partition(NamedTuple("Partition", [("parts", tuple[int, ...])])):
@@ -212,51 +214,57 @@ def pieri_multiply_segre(c: QClass, i: int) -> QClass:
     return c._multiply(i, SEGRE)
 
 
-def _half_product(r: int, n: int, insertions: Sequence[Insertion]) -> dict[tuple[int, ...], int]:
-    """The insertions multiplied out from the unit, keyed by padded shape alone.
+def _half_product(r: int, n: int, powers: Sequence[tuple[Insertion, int]]) -> dict[tuple[int, ...], int]:
+    """The (insertion, exponent) powers multiplied out from the unit, in
+    order, keyed by padded shape alone.
 
     A term's q-power is (degree so far - size) / n, so the shape fixes it.
     Every intermediate combination of effective classes must have
     nonnegative coefficients; a Segre index past the box reduces with
     signs by design, so it switches the guard off.
     """
-    effective = all(ins.kind == CHERN or ins.index <= n - r for ins in insertions)
+    effective = all(ins.kind == CHERN or ins.index <= n - r for ins, _ in powers)
     terms = {(0,) * r: 1}
-    for ins in insertions:
-        grown: dict[tuple[int, ...], int] = {}
-        for shape, coeff in terms.items():
-            for new, _, c in _pieri_row(shape, ins.index, ins.kind, n):
-                grown[new] = grown.get(new, 0) + c * coeff
-        terms = {k: v for k, v in grown.items() if v}
-        if effective and any(v < 0 for v in terms.values()):
-            raise QuotcountError(
-                "negative structure coefficient: special-class convention broken"
-            )
+    for ins, exp in powers:
+        for _ in range(exp):
+            grown: dict[tuple[int, ...], int] = {}
+            for shape, coeff in terms.items():
+                for new, _, c in _pieri_row(shape, ins.index, ins.kind, n):
+                    grown[new] = grown.get(new, 0) + c * coeff
+            terms = {k: v for k, v in grown.items() if v}
+            if effective and any(v < 0 for v in terms.values()):
+                raise QuotcountError(
+                    "negative structure coefficient: special-class convention broken"
+                )
     return terms
 
 
-def fixed_domain_count_g0(r: int, n: int, d: int, insertions: Iterable[Insertion]) -> int:
+def fixed_domain_count_g0(r: int, n: int, d: int, insertions: Monomial | Iterable[Insertion]) -> int:
     """Degree-d count of rational maps through the given special cycles.
 
     The coefficient of the full box at q^d in the product of the
     insertions, read off as the pairing of two half-products (module
     docstring).  Valid when the insertion degree equals d*n + r*(n-r).
     """
-    insertions = tuple(insertions)
+    monomial = as_monomial(insertions)
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    check_degree(insertions, d * n + r * (n - r), "genus-0 virtual dimension")
+    check_degree(monomial, d * n + r * (n - r), "genus-0 virtual dimension")
     if r == n:
         # Point target: a single constant map, no conditions to impose.
         if d == 0:
             return 1
         raise ValueError("the quantum oracle covers the point target only at d = 0")
     _check_rank(r, n)
-    for ins in insertions:
+    for ins in monomial.present:
         _check_index(r, ins.kind, ins.index)
-    ordered = sorted(insertions, key=lambda ins: ins.index, reverse=True)
-    a = _half_product(r, n, ordered[0::2])
-    b = _half_product(r, n, ordered[1::2])
+    halves: tuple[list, list] = ([], [])
+    dealt = 0  # factors dealt so far; the next one goes to A when this is even
+    for ins, exp in sorted(monomial, key=lambda pair: pair[0].index, reverse=True):
+        halves[dealt % 2].append((ins, exp - exp // 2))
+        halves[1 - dealt % 2].append((ins, exp // 2))
+        dealt += exp
+    a, b = (_half_product(r, n, half) for half in halves)
     cols = n - r
     return sum(
         coeff * b.get(tuple(cols - p for p in reversed(shape)), 0) for shape, coeff in a.items()

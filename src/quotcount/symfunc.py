@@ -6,6 +6,11 @@ Chern-type insertions and h_i for Segre-type insertions.  The two are
 exchanged (up to sign of the arguments) when a rank-r problem is traded
 for its rank-(n-r) mirror: e_i of a tuple equals h_i of the negated
 complementary tuple.
+
+A product of incidence classes is a `Monomial` of (Insertion, exponent)
+pairs.  Every count takes one, or a flat iterable that `as_monomial`
+counts into one, and reads its degree and exponents from it: no power of
+an insertion is written out one factor at a time.
 """
 
 from __future__ import annotations
@@ -50,17 +55,61 @@ def monomial(*pairs: tuple[Insertion, int]) -> tuple[Insertion, ...]:
     return tuple(out)
 
 
+class Monomial(tuple):
+    """A product of incidence classes: its (Insertion, exponent) pairs, sorted
+    (Chern before Segre, then by index), each insertion once with a positive
+    exponent.  Pairs of one insertion add up; a zero exponent drops out."""
+
+    __slots__ = ()
+
+    def __new__(cls, pairs: Iterable[tuple[Insertion, int]]) -> Monomial:
+        exponents: dict[Insertion, int] = {}
+        for ins, exp in pairs:
+            if exp < 0:
+                raise ValueError("exponents must be nonnegative")
+            if exp:
+                exponents[ins] = exponents.get(ins, 0) + exp
+        return super().__new__(cls, sorted(exponents.items()))
+
+    @property
+    def degree(self) -> int:
+        """The weighted degree: sum of index * exponent."""
+        return sum(ins.index * exp for ins, exp in self)
+
+    @property
+    def present(self) -> tuple[Insertion, ...]:
+        """Each insertion of the product once."""
+        return tuple(ins for ins, _ in self)
+
+    @property
+    def cherns(self) -> tuple[tuple[int, int], ...]:
+        """The (index, exponent) pairs of the Chern insertions, by index."""
+        return tuple((ins.index, exp) for ins, exp in self if ins.kind == CHERN)
+
+    @property
+    def segres(self) -> tuple[tuple[int, int], ...]:
+        """The (index, exponent) pairs of the Segre insertions, by index."""
+        return tuple((ins.index, exp) for ins, exp in self if ins.kind == SEGRE)
+
+    def times(self, ins: Insertion, exp: int) -> Monomial:
+        """This product times ins^exp."""
+        return Monomial((*self, (ins, exp)))
+
+
+def as_monomial(insertions: Monomial | Iterable[Insertion]) -> Monomial:
+    """The product of `insertions`: a Monomial as it is, a flat iterable counted."""
+    if isinstance(insertions, Monomial):
+        return insertions
+    return Monomial((ins, 1) for ins in insertions)
+
+
 def weighted_degree(insertions: Iterable[Insertion]) -> int:
     return sum(ins.index for ins in insertions)
 
 
-def check_degree(insertions: Iterable[Insertion] | int, expected: int, what: str) -> None:
-    """Refuse insertions whose degree is not `expected`, the `what` they must fill.
-
-    An int stands for the degree itself, so that a monomial can be checked
-    from its exponents before it is expanded.
-    """
-    degree = insertions if isinstance(insertions, int) else weighted_degree(insertions)
+def check_degree(insertions: Monomial, expected: int, what: str) -> None:
+    """Refuse insertions whose degree is not `expected`, the `what` they must fill."""
+    degree = insertions.degree
     if degree != expected:
         raise DimensionMismatchError(f"{what} is {expected}, but the insertion degree is {degree}")
 

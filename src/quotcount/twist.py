@@ -30,10 +30,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatchError, RegimeViolationError
-from .symfunc import CHERN, SEGRE, Insertion, check_degree, chern, monomial
+from .symfunc import Insertion, Monomial, as_monomial, check_degree, chern
 from .vi_engine import (
     Advisory,
     Enumerativity,
@@ -52,17 +52,18 @@ LARGE_D_NOTE = (
 
 
 class ProblemSpec(NamedTuple("ProblemSpec", [
-    ("base", GrassmannSpec), ("multidegree", tuple[int, ...]), ("insertions", tuple[Insertion, ...]),
+    ("base", GrassmannSpec), ("multidegree", tuple[int, ...]), ("insertions", Monomial),
 ])):
-    """A counting problem: base target, section multidegree, insertions."""
+    """A counting problem: base target, section multidegree, insertions (a
+    flat iterable is kept as its monomial)."""
 
     __slots__ = ()
 
     def __new__(cls, base: GrassmannSpec, multidegree: tuple[int, ...],
-                insertions: tuple[Insertion, ...]) -> ProblemSpec:
+                insertions: Monomial | Iterable[Insertion]) -> ProblemSpec:
         if any(l < 1 for l in multidegree):
             raise ValueError("multidegree entries must be positive integers")
-        return super().__new__(cls, base, multidegree, insertions)
+        return super().__new__(cls, base, multidegree, as_monomial(insertions))
 
     @property
     def twisted_dim(self) -> int:
@@ -75,29 +76,21 @@ class ProblemSpec(NamedTuple("ProblemSpec", [
         return all(b.d * l > 2 * b.g - 2 for l in self.multidegree)
 
 
-def _check_section(spec: ProblemSpec, degree: int | None = None) -> None:
-    """A section count's preconditions: the regime, then the insertion degree
-    (`degree`, when given, stands for the degree of insertions not yet expanded)."""
+def _check_section(spec: ProblemSpec) -> None:
+    """A section count's preconditions: the regime, then the insertion degree."""
     if not spec.in_regime:
         b = spec.base
         raise RegimeViolationError(
             f"need d*l > 2g-2 for every section degree (d={b.d}, g={b.g}, "
             f"multidegree={spec.multidegree})"
         )
-    check_degree(spec.insertions if degree is None else degree, spec.twisted_dim,
-                 "twisted virtual dimension")
+    check_degree(spec.insertions, spec.twisted_dim, "twisted virtual dimension")
 
 
-def _boost(spec: ProblemSpec) -> tuple[GrassmannSpec, tuple[Insertion, ...]]:
+def _boost(spec: ProblemSpec) -> tuple[GrassmannSpec, Monomial]:
     """The base target with one extra Chern(1) per unit of dimension the sections cut."""
     b = spec.base
-    return b, spec.insertions + (chern(1),) * (b.virtual_dim - spec.twisted_dim)
-
-
-def _boosted_value(spec: ProblemSpec, workers: int) -> Fraction:
-    """The plain count with the boosted insertions, after the spec's checks."""
-    _check_section(spec)
-    return vi_integral(*_boost(spec), workers).value
+    return b, spec.insertions.times(chern(1), b.virtual_dim - spec.twisted_dim)
 
 
 def _closed_scalar(spec: ProblemSpec) -> Fraction:
@@ -121,14 +114,13 @@ def _phi_scalar(spec: ProblemSpec) -> Fraction:
     )
 
 
-def _check_hypersurface(spec: ProblemSpec, degree: int | None = None, *, both_paths: bool) -> None:
-    """A hypersurface count's preconditions: a single section degree, refused
-    in the name of the closed path or of the path comparison (`both_paths`),
-    then those of `_check_section` (`degree` as there)."""
+def _check_hypersurface(spec: ProblemSpec, *, both_paths: bool) -> None:
+    """A hypersurface count's own precondition, checked before those of
+    `_check_section`: a single section degree, refused in the name of the
+    closed path or of the path comparison (`both_paths`)."""
     if len(spec.multidegree) != 1:
         what = "path comparison" if both_paths else "hypersurface_integral"
         raise ValueError(f"{what} expects exactly one section degree")
-    _check_section(spec, degree)
 
 
 def _flagged(value: Fraction, advisory: Advisory) -> VirtualCount:
@@ -144,14 +136,16 @@ def hypersurface_integral(spec: ProblemSpec, workers: int = 1) -> VirtualCount:
 
 def complete_intersection_integral(spec: ProblemSpec, workers: int = 1) -> VirtualCount:
     """Count on a multidegree section; with one factor this is the hypersurface case."""
-    value = _boosted_value(spec, workers) * _closed_scalar(spec)
+    _check_section(spec)
+    value = vi_integral(*_boost(spec), workers).value * _closed_scalar(spec)
     return certified(value, enumerativity_advisor(spec))
 
 
 def hypersurface_both_paths(spec: ProblemSpec, workers: int = 1) -> tuple[VirtualCount, VirtualCount, bool]:
     """Closed and expansion paths off a single engine run, plus agreement."""
     _check_hypersurface(spec, both_paths=True)
-    raw = _boosted_value(spec, workers)
+    _check_section(spec)
+    raw = vi_integral(*_boost(spec), workers).value
     advisory = enumerativity_advisor(spec)
     closed = certified(raw * _closed_scalar(spec), advisory)
     phi = _flagged(raw * _phi_scalar(spec), advisory)
@@ -159,17 +153,20 @@ def hypersurface_both_paths(spec: ProblemSpec, workers: int = 1) -> tuple[Virtua
 
 
 class BClassWord(NamedTuple("BClassWord", [
-    ("pair_indices", tuple[int, ...]), ("monomial", tuple[Insertion, ...]),
+    ("pair_indices", tuple[int, ...]), ("monomial", Monomial),
 ])):
     """s odd-class pairs (each pair is the j and j+g first-Chern components)
-    followed by a trailing Chern monomial."""
+    followed by a trailing Chern monomial (a flat iterable is kept as its
+    monomial)."""
 
     __slots__ = ()
 
-    def __new__(cls, pair_indices: tuple[int, ...], monomial: tuple[Insertion, ...]) -> BClassWord:
+    def __new__(cls, pair_indices: tuple[int, ...],
+                monomial: Monomial | Iterable[Insertion]) -> BClassWord:
         if any(j < 1 for j in pair_indices):
             raise ValueError("pair indices must be positive")
-        if any(ins.kind != CHERN for ins in monomial):
+        monomial = as_monomial(monomial)
+        if monomial.segres:
             raise ValueError("the trailing monomial must consist of Chern insertions")
         return super().__new__(cls, pair_indices, monomial)
 
@@ -180,26 +177,18 @@ B_WORD_ADVISORY = Advisory(
 )
 
 
-def _check_b_word(word: BClassWord, base: GrassmannSpec, degree: int | None = None) -> None:
-    """The odd-class reduction's refusals (`degree` as in `_check_section`)."""
-    s = len(word.pair_indices)
-    if any(j > base.g for j in word.pair_indices):
-        raise ValueError("pair indices must lie in [1, g]")
-    check_degree(word.monomial if degree is None else degree, base.virtual_dim - s,
-                 f"virtual dimension minus {s} (the pair count)")
-
-
 def reduce_b_classes(word: BClassWord, base: GrassmannSpec, workers: int = 1) -> VirtualCount:
     """Trade s odd-class pairs for a_1^s / n^s inside a plain integral.
 
     Vanishes when a pair index repeats or when s exceeds the map degree.
     """
-    _check_b_word(word, base)
     s = len(word.pair_indices)
+    if any(j > base.g for j in word.pair_indices):
+        raise ValueError("pair indices must lie in [1, g]")
+    check_degree(word.monomial, base.virtual_dim - s, f"virtual dimension minus {s} (the pair count)")
     if len(set(word.pair_indices)) < s or s > base.d:
         return VirtualCount(Fraction(0), True, B_WORD_ADVISORY)
-    boosted = word.monomial + (chern(1),) * s
-    raw = vi_integral(base, boosted, workers).value
+    raw = vi_integral(base, word.monomial.times(chern(1), s), workers).value
     return certified(raw / Fraction(base.n) ** s, B_WORD_ADVISORY)
 
 
@@ -227,12 +216,9 @@ def closed_form_lg24(g: int, d: int, m1: int, m2: int) -> VirtualCount:
     The spec is the degree-1 section of G(2, 4) with a_1^m1 a_2^m2, so it
     requires d > 2g - 2 and m1 + 2*m2 = 3*(d - g + 1), its twisted dimension.
     """
-    if min(m1, m2) < 0:
-        raise ValueError("exponents must be nonnegative")
-    base = GrassmannSpec(2, 4, g, d)
-    # Checked from the exponents: a refused monomial is never expanded.
-    _check_section(ProblemSpec(base, (1,), ()), m1 + 2 * m2)
-    spec = ProblemSpec(base, (1,), monomial((chern(1), m1), (chern(2), m2)))
+    insertions = Monomial(((chern(1), m1), (chern(2), m2)))  # a negative exponent is refused first
+    spec = ProblemSpec(GrassmannSpec(2, 4, g, d), (1,), insertions)
+    _check_section(spec)
     value = Fraction(2) ** (2 * d - m2 - g + 1) * 3**g
     return _flagged(value, enumerativity_advisor(spec))
 
@@ -279,17 +265,17 @@ def enumerativity_advisor(spec: ProblemSpec) -> Advisory:
             Enumerativity.OUT_OF_REGIME,
             "d*l <= 2g-2 for some section degree; outside the bundle regime",
         )
-    if any(ins.kind == SEGRE for ins in spec.insertions):
+    if spec.insertions.segres:
         return SEGRE_ADVISORY
     if not spec.multidegree:
         return PLAIN_TARGET_ADVISORY
     n = spec.base.n
     total = sum(spec.multidegree)
     if len(spec.multidegree) == 1:
-        ok = all(ins.index < n - total for ins in spec.insertions)
+        ok = all(ins.index < n - total for ins in spec.insertions.present)
         bound = f"i < n - l = {n - total}"
     else:
-        ok = all(ins.index <= n - total for ins in spec.insertions)
+        ok = all(ins.index <= n - total for ins in spec.insertions.present)
         bound = f"i <= n - sum(l) = {n - total}"
     if ok:
         return Advisory(Enumerativity.ENUMERATIVE_IF_WEAKLY_CONVEX, LARGE_D_NOTE)

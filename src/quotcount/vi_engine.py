@@ -81,7 +81,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from . import symfunc
 from .cyclotomic import Cyc, extract_rational, one, root_of_unity, zero
 from .errors import NonIntegralError, QuotcountError
-from .symfunc import CHERN, SEGRE, Insertion
+from .symfunc import SEGRE, Insertion, Monomial, as_monomial, check_degree
 
 
 class Enumerativity(enum.Enum):
@@ -295,15 +295,6 @@ def affine_orbits(n: int, r: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 # -- summand assembly -------------------------------------------------------
 
-def _grouped(insertions: Iterable[Insertion]) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    cherns: dict[int, int] = {}
-    segres: dict[int, int] = {}
-    for ins in insertions:
-        table = cherns if ins.kind == CHERN else segres
-        table[ins.index] = table.get(ins.index, 0) + 1
-    return tuple(sorted(cherns.items())), tuple(sorted(segres.items()))
-
-
 class _Evaluator:
     """Per-process machinery turning a subset into its summand."""
 
@@ -355,21 +346,16 @@ class _Evaluator:
         return acc * (j if self.gm1 == 1 else j ** self.gm1)
 
 
-def _validate(
-    spec: GrassmannSpec, insertions: Iterable[Insertion], degree: Optional[int] = None,
-) -> tuple[Insertion, ...]:
-    """The engine's refusals: a Chern index above the rank, then an insertion
-    degree other than the virtual dimension (`degree`, when given, stands
-    for the degree of insertions not yet expanded)."""
-    insertions = tuple(insertions)
-    for ins in insertions:
-        if ins.kind == CHERN and ins.index > spec.r:
-            raise ValueError(
-                f"Chern insertion index {ins.index} exceeds rank {spec.r}"
-            )
-    symfunc.check_degree(insertions if degree is None else degree, spec.virtual_dim,
-                         "virtual dimension")
-    return insertions
+def _validate(spec: GrassmannSpec, insertions: Monomial | Iterable[Insertion]) -> Monomial:
+    """The insertions as a monomial, after the engine's refusals: a Chern
+    index above the rank (the largest one is named), then an insertion
+    degree other than the virtual dimension."""
+    monomial = as_monomial(insertions)
+    cherns = monomial.cherns
+    if cherns and cherns[-1][0] > spec.r:
+        raise ValueError(f"Chern insertion index {cherns[-1][0]} exceeds rank {spec.r}")
+    check_degree(monomial, spec.virtual_dim, "virtual dimension")
+    return monomial
 
 
 def _sign(spec: GrassmannSpec) -> int:
@@ -596,15 +582,17 @@ def pool_size(workers: int, summands: int, cpus: int) -> int:
 MEMO_SIZE = 4096
 
 
-def vi_integral(spec: GrassmannSpec, insertions: Iterable[Insertion], workers: int = 1) -> VirtualCount:
+def vi_integral(
+    spec: GrassmannSpec, insertions: Monomial | Iterable[Insertion], workers: int = 1,
+) -> VirtualCount:
     """The counting sum over all C(n, r) root subsets, on at most `workers` processes."""
     if workers < 1:
         raise ValueError("workers must be a positive integer")
-    insertions = _validate(spec, insertions)
+    monomial = _validate(spec, insertions)
     affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     used = pool_size(workers, len(affine_orbits(spec.n, spec.r)), cpus)
-    return _certified_count(spec, *_grouped(insertions), used)
+    return _certified_count(spec, monomial.cherns, monomial.segres, used)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -619,7 +607,9 @@ def _certified_count(spec: GrassmannSpec, cherns, segres, used: int) -> VirtualC
     return _finalize(spec, total, segres, summands, used)
 
 
-def vi_integral_orbit_reduced(spec: GrassmannSpec, insertions: Iterable[Insertion]) -> VirtualCount:
+def vi_integral_orbit_reduced(
+    spec: GrassmannSpec, insertions: Monomial | Iterable[Insertion],
+) -> VirtualCount:
     """Same value as vi_integral, summing one representative per rotation orbit.
 
     Rotating a subset (add 1 to every exponent mod n) scales the insertion
@@ -627,21 +617,20 @@ def vi_integral_orbit_reduced(spec: GrassmannSpec, insertions: Iterable[Insertio
     degree the two exponents cancel mod n, so each orbit contributes its
     size times any one summand.
     """
-    insertions = _validate(spec, insertions)
+    monomial = _validate(spec, insertions)
     n, r = spec.n, spec.r
-    cherns, segres = _grouped(insertions)
-    ev = _Evaluator(spec, cherns, segres)
+    ev = _Evaluator(spec, monomial.cherns, monomial.segres)
     total = zero(n)
     for subset in iter_colex(n, r):
         orbit = {tuple(sorted((a + s) % n for a in subset)) for s in range(n)}
         if min(orbit, key=lambda t: t[::-1]) != subset:
             continue
         total = total + ev.summand(subset).scale(len(orbit))
-    return _finalize(spec, extract_rational(total), segres)
+    return _finalize(spec, extract_rational(total), monomial.segres)
 
 
 def vi_integral_parallel(
-    spec: GrassmannSpec, insertions: Iterable[Insertion], workers: int
+    spec: GrassmannSpec, insertions: Monomial | Iterable[Insertion], workers: int
 ) -> VirtualCount:
     """vi_integral with a required worker bound (the older name)."""
     return vi_integral(spec, insertions, workers)
@@ -653,31 +642,23 @@ class DualityReport(NamedTuple):
     equal: bool
 
 
-def _check_duality(
-    spec: GrassmannSpec, insertions: Iterable[Insertion], degree: Optional[int] = None,
-) -> tuple[Insertion, ...]:
-    """The duality check's refusals, then the engine's on the Chern side
-    (`degree` as in `_validate`)."""
-    insertions = tuple(insertions)
-    if any(ins.kind != CHERN for ins in insertions):
-        raise ValueError("duality check starts from Chern insertions only")
-    if spec.r >= spec.n:
-        raise ValueError("duality requires rank < n (the mirror rank must be positive)")
-    return _validate(spec, insertions, degree)
-
-
 def duality_check(
-    spec: GrassmannSpec, chern_insertions: Iterable[Insertion], workers: int = 1
+    spec: GrassmannSpec, chern_insertions: Monomial | Iterable[Insertion], workers: int = 1
 ) -> DualityReport:
     """Compare the rank-r Chern-insertion count with its rank-(n-r) mirror,
     each summed on at most `workers` processes.
 
     The mirror problem replaces every Chern(i) by Segre(i) on G(n-r, n);
     the two integrals are equal.  Segre indices may exceed n-r, so no
-    extra bound is imposed on the mirror side.
+    extra bound is imposed on the mirror side.  The duality check's
+    refusals come before the engine's, which the Chern side runs.
     """
-    insertions = _check_duality(spec, chern_insertions)
-    mirrored = tuple(Insertion(SEGRE, ins.index) for ins in insertions)
-    lhs = vi_integral(spec, insertions, workers)
+    monomial = as_monomial(chern_insertions)
+    if monomial.segres:
+        raise ValueError("duality check starts from Chern insertions only")
+    if spec.r >= spec.n:
+        raise ValueError("duality requires rank < n (the mirror rank must be positive)")
+    lhs = vi_integral(spec, monomial, workers)
+    mirrored = Monomial((Insertion(SEGRE, i), x) for i, x in monomial.cherns)
     rhs = vi_integral(spec.dual(), mirrored, workers)
     return DualityReport(lhs, rhs, lhs.value == rhs.value)

@@ -3,11 +3,13 @@ from __future__ import annotations
 import io
 import json
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from quotcount import qh_oracle, twist, vi_engine
 from quotcount.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -23,6 +25,10 @@ from quotcount.cli import (
     run_batch,
     run_preset,
 )
+from quotcount.errors import DimensionMismatchError
+from quotcount.symfunc import Monomial, chern
+from quotcount.twist import BClassWord, ProblemSpec
+from quotcount.vi_engine import GrassmannSpec
 
 
 def run_cli(capsys, *argv):
@@ -195,6 +201,8 @@ def test_batch_tolerates_malformed_records(tmp_path):
         '{"mode": "grassmannian", "unknown_field": 1}\n'
         # JSON, but not an object
         '"abc"\n["mode"]\n5\nnull\n'
+        # a known mode with a malformed field
+        '{"mode": "grassmannian", "g": 0, "d": 0, "r": 2, "n": 4, "ins": "s9:1,a1:-1"}\n'
     )
     buffer = io.StringIO()
     code = run_batch(str(path), out=buffer)
@@ -202,10 +210,16 @@ def test_batch_tolerates_malformed_records(tmp_path):
     assert [row["error"] for row in rows[3:7]] == [
         {"type": "ValueError", "message": f"a batch line must be a JSON object, got {kind}",
          "exit": EXIT_VALIDATION} for kind in ("str", "list", "int", "NoneType")]
+    # a line that names a known mode keeps it in its record
+    assert [row["mode"] for row in rows[:8]] == [None, "grassmannian", "grassmannian"] + [None] * 4 + [
+        "grassmannian"]
+    assert rows[7]["error"] == {
+        "type": "ValueError", "exit": EXIT_VALIDATION,
+        "message": "bad insertion 'a1:-1': index >= 1 and exponent >= 0 required"}
     summary = rows[-1]
-    assert summary["records"] == 7
+    assert summary["records"] == 8
     assert summary["ok"] == 1
-    assert summary["validation_errors"] == 6
+    assert summary["validation_errors"] == 7
     assert code == EXIT_VALIDATION
 
 
@@ -692,8 +706,6 @@ HUGE = (("chern", 1, 5_000_000),)
     (JobRequest(mode="closed-form", g=0, d=1, r=1, multidegree=(2,)), None, None),
 ])
 def test_a_huge_exponent_is_refused_before_it_is_expanded(request_, error, message):
-    import tracemalloc
-
     tracemalloc.start()
     try:
         record = run(request_._replace(insertions=request_.insertions or HUGE)).to_dict()
@@ -707,6 +719,56 @@ def test_a_huge_exponent_is_refused_before_it_is_expanded(request_, error, messa
         assert record["ok"] is False and record["error"]["type"] == error
         assert record["error"]["message"].startswith(message)
         assert record["error"]["exit"] == EXIT_VALIDATION
+
+
+G23, G24 = GrassmannSpec(2, 3, 1, 1), GrassmannSpec(2, 4, 1, 2)
+
+
+@pytest.mark.parametrize("count, message", [
+    (lambda m: vi_engine.vi_integral(G23, m), "virtual dimension is 3"),
+    (lambda m: vi_engine.vi_integral_parallel(G23, m, 2), "virtual dimension is 3"),
+    (lambda m: vi_engine.vi_integral_orbit_reduced(G23, m), "virtual dimension is 3"),
+    (lambda m: vi_engine.duality_check(G23, m), "virtual dimension is 3"),
+    (lambda m: qh_oracle.fixed_domain_count_g0(2, 4, 1, m), "genus-0 virtual dimension is 8"),
+    (lambda m: twist.hypersurface_integral(ProblemSpec(G24, (1,), m)), "twisted virtual dimension is 6"),
+    (lambda m: twist.hypersurface_both_paths(ProblemSpec(G24, (1,), m)), "twisted virtual dimension is 6"),
+    (lambda m: twist.complete_intersection_integral(ProblemSpec(GrassmannSpec(4, 5, 0, 1), (2, 2), m)),
+     "twisted virtual dimension is 3"),
+    (lambda m: twist.reduce_b_classes(BClassWord((1,), m), G23),
+     "virtual dimension minus 1 (the pair count) is 2"),
+])
+def test_a_huge_monomial_is_refused_by_every_count_before_it_is_expanded(count, message):
+    huge = Monomial(((chern(1), 5_000_000),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatchError) as refused:
+            count(huge)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert str(refused.value) == f"{message}, but the insertion degree is 5000000"
+
+
+@pytest.mark.parametrize("request_, module, name", [
+    (JobRequest(mode="grassmannian", g=1, d=1, r=2, n=3, insertions=(("chern", 1, 3),)),
+     vi_engine, "_validate"),
+    (JobRequest(mode="oracle-check", g=0, d=1, r=2, n=4, insertions=(("chern", 1, 7),)),
+     vi_engine, "_validate"),
+    (JobRequest(mode="hypersurface", g=1, d=2, r=2, n=4, multidegree=(1,),
+                insertions=(("chern", 1, 4), ("chern", 2, 1)), path="both"), twist, "_check_section"),
+    (JobRequest(mode="hypersurface", g=1, d=2, r=2, n=4, multidegree=(1,),
+                insertions=(("chern", 1, 5),)), twist, "_check_section"),
+    (JobRequest(mode="complete-intersection", g=0, d=1, r=4, n=5, multidegree=(2, 2),
+                insertions=(("chern", 1, 3),)), twist, "_check_section"),
+    (JobRequest(mode="closed-form", variant="lg24", g=0, d=1, m1=6, m2=0), twist, "_check_section"),
+])
+def test_each_refusal_runs_once_per_request(monkeypatch, request_, module, name):
+    calls = []
+    check = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(args) or check(*args, **kwargs))
+    run(request_)
+    assert len(calls) == 1
 
 
 def test_a_batch_run_twice_gives_the_same_records(tmp_path):

@@ -7,8 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quotcount.cyclotomic import Cyc, one, root_of_unity, zero
+from quotcount.errors import DimensionMismatchError, RegimeViolationError
+from quotcount.qh_oracle import fixed_domain_count_g0
 from quotcount.symfunc import (
     Insertion,
+    Monomial,
+    as_monomial,
     chern,
     complete_homogeneous,
     elementary,
@@ -18,6 +22,14 @@ from quotcount.symfunc import (
     segre,
     weighted_degree,
 )
+from quotcount.twist import (
+    BClassWord,
+    ProblemSpec,
+    complete_intersection_integral,
+    hypersurface_both_paths,
+    reduce_b_classes,
+)
+from quotcount.vi_engine import GrassmannSpec, duality_check, vi_integral
 
 from cyc_helpers import field_equal
 
@@ -72,6 +84,58 @@ def test_monomial_and_degree():
     assert len(ins) == 4
     assert weighted_degree(ins) == 5
     assert weighted_degree(monomial((segre(4), 2))) == 8
+    # the product type: pairs of one insertion add up, zero exponents drop out
+    product = Monomial(((segre(2), 1), (chern(2), 1), (segre(5), 0), (chern(1), 3), (chern(2), 1)))
+    assert product == ((chern(1), 3), (chern(2), 2), (segre(2), 1))
+    assert product.degree == 9 and product.present == (chern(1), chern(2), segre(2))
+    assert product.cherns == ((1, 3), (2, 2)) and product.segres == ((2, 1),)
+    assert product.times(chern(1), 2) == ((chern(1), 5), (chern(2), 2), (segre(2), 1))
+    assert as_monomial(monomial(*product)) == product and as_monomial(product) is product
+    with pytest.raises(ValueError, match="exponents must be nonnegative"):
+        Monomial(((chern(1), -1),))
+
+
+def _outcome(call, insertions):
+    """What a counting call gives: (None, its value), or its refusal's type and message."""
+    try:
+        return None, call(insertions)
+    except (ValueError, DimensionMismatchError, RegimeViolationError) as exc:
+        return type(exc), str(exc)
+
+
+G23, G24 = GrassmannSpec(2, 3, 1, 1), GrassmannSpec(2, 4, 1, 2)
+
+
+@pytest.mark.parametrize("call, pairs, expected", [
+    (lambda ins: vi_integral(G24, ins), ((chern(1), 2), (chern(2), 3)), None),
+    (lambda ins: vi_integral(G24, ins), ((chern(1), 2), (segre(3), 2)), None),
+    (lambda ins: vi_integral(G24, ins), ((chern(1), 7),), DimensionMismatchError),
+    (lambda ins: vi_integral(G24, ins), ((chern(5), 1), (chern(3), 1), (chern(1), 4)), ValueError),
+    (lambda ins: duality_check(G24, ins), ((chern(1), 2), (chern(2), 3)), None),
+    (lambda ins: duality_check(G24, ins), ((chern(1), 6), (segre(2), 1)), ValueError),
+    (lambda ins: duality_check(G24, ins), ((chern(1), 9),), DimensionMismatchError),
+    (lambda ins: fixed_domain_count_g0(2, 6, 2, ins), ((segre(4), 2), (chern(1), 8), (chern(2), 2)), None),
+    (lambda ins: fixed_domain_count_g0(2, 4, 1, ins), ((chern(3), 2), (chern(1), 2)), ValueError),
+    (lambda ins: fixed_domain_count_g0(2, 4, 1, ins), ((chern(1), 7),), DimensionMismatchError),
+    (lambda ins: complete_intersection_integral(ProblemSpec(GrassmannSpec(4, 5, 0, 1), (2, 2), ins)),
+     ((chern(1), 3),), None),
+    (lambda ins: complete_intersection_integral(ProblemSpec(GrassmannSpec(4, 5, 0, 1), (2, 2), ins)),
+     ((chern(1), 4),), DimensionMismatchError),
+    (lambda ins: complete_intersection_integral(ProblemSpec(GrassmannSpec(2, 4, 2, 1), (1, 1), ins)),
+     ((chern(1), 4),), RegimeViolationError),
+    (lambda ins: hypersurface_both_paths(ProblemSpec(G24, (1,), ins)), ((chern(1), 4), (chern(2), 1)), None),
+    (lambda ins: hypersurface_both_paths(ProblemSpec(G24, (1, 1), ins)), ((chern(1), 4),), ValueError),
+    (lambda ins: hypersurface_both_paths(ProblemSpec(G24, (1,), ins)), ((chern(1), 5),),
+     DimensionMismatchError),
+    (lambda ins: reduce_b_classes(BClassWord((1,), ins), G23), ((chern(1), 2),), None),
+    (lambda ins: reduce_b_classes(BClassWord((1,), ins), G23), ((chern(1), 1), (segre(1), 1)), ValueError),
+    (lambda ins: reduce_b_classes(BClassWord((2,), ins), G23), ((chern(1), 2),), ValueError),
+    (lambda ins: reduce_b_classes(BClassWord((1,), ins), G23), ((chern(1), 3),), DimensionMismatchError),
+])
+def test_flat_and_monomial_insertions_give_one_outcome(call, pairs, expected):
+    flat = _outcome(call, monomial(*pairs))
+    assert _outcome(call, Monomial(pairs)) == flat
+    assert flat[0] is expected, flat
 
 
 def test_elementary_zero_is_one():

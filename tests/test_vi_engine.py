@@ -19,7 +19,7 @@ from quotcount.cyclotomic import (
     zero,
 )
 from quotcount.errors import DimensionMismatchError, NonIntegralError, QuotcountError
-from quotcount.symfunc import chern, monomial, segre
+from quotcount.symfunc import as_monomial, chern, monomial, segre
 from quotcount.vi_engine import (
     SUMMANDS_PER_WORKER,
     Enumerativity,
@@ -28,7 +28,6 @@ from quotcount.vi_engine import (
     _coefficient_bound,
     _Evaluator,
     _folded_total,
-    _grouped,
     _ramanujan,
     _sign,
     _validate,
@@ -49,6 +48,12 @@ from cyc_helpers import field_equal, galois, inv_one_minus_root
 
 def hyperplanes(k):
     return tuple([chern(1)] * k)
+
+
+def grouped(ins):
+    """The Chern and the Segre (index, exponent) pairs of the insertions."""
+    product = as_monomial(ins)
+    return product.cherns, product.segres
 
 
 # -- colex enumeration -------------------------------------------------------
@@ -122,7 +127,7 @@ def test_necklaces_of_a_long_string_need_no_deep_stack():
 
 
 def plain_total(spec, ins):
-    ev = _Evaluator(spec, *_grouped(ins))
+    ev = _Evaluator(spec, *grouped(ins))
     total = ev.summand(next(iter_colex(spec.n, spec.r))).scale(0)
     for subset in iter_colex(spec.n, spec.r):
         total = total + ev.summand(subset)
@@ -133,7 +138,7 @@ def galois_average(spec, ins, workers):
     """The engine's decoded S averaged over sigma_u for the units u of Z/n,
     over n^r at genus 0: the full subset sum as a ring element, with the
     number of summands S took."""
-    coeffs, summands = _folded_total(spec, *_grouped(ins), workers)
+    coeffs, summands = _folded_total(spec, *grouped(ins), workers)
     n = spec.n
     weighted = Cyc(n, coeffs)
     units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
@@ -230,7 +235,7 @@ def test_coefficient_bound_holds_on_the_exact_sum(case):
     scale = spec.n ** spec.r if spec.g == 0 else 1
     coeffs = [c * scale for c in plain_total(spec, ins).coeffs]
     assert all(c.denominator == 1 for c in coeffs)
-    assert max(abs(c) for c in coeffs) <= _coefficient_bound(spec, *_grouped(ins))
+    assert max(abs(c) for c in coeffs) <= _coefficient_bound(spec, *grouped(ins))
 
 
 def test_a_coefficient_above_the_bound_is_an_internal_error(monkeypatch, tmp_path):
@@ -241,7 +246,7 @@ def test_a_coefficient_above_the_bound_is_an_internal_error(monkeypatch, tmp_pat
 
     # The true largest coefficient of this sum is 240; its proven bound is 960.
     spec, ins = GrassmannSpec(2, 6, 1, 1), hyperplanes(6)
-    assert _coefficient_bound(spec, *_grouped(ins)) == 960
+    assert _coefficient_bound(spec, *grouped(ins)) == 960
     monkeypatch.setattr(vi_engine, "_coefficient_bound", lambda *args: 100)
     with pytest.raises(QuotcountError):
         vi_integral(spec, ins)
@@ -487,7 +492,7 @@ def test_cyc_values_survive_pickling():
     # Worker processes ship partial sums back as pickles.
     import pickle
 
-    ev = _Evaluator(GrassmannSpec(2, 5, 0, 1), *_grouped(hyperplanes(11)))
+    ev = _Evaluator(GrassmannSpec(2, 5, 0, 1), *grouped(hyperplanes(11)))
     value = ev.summand((1, 3))
     assert pickle.loads(pickle.dumps(value)) == value
 
@@ -530,7 +535,7 @@ def test_summand_rotation_invariance():
         (GrassmannSpec(3, 9, 2, 3), monomial((chern(1), 3), (segre(3), 2))),
     ):
         n = spec.n
-        ev = _Evaluator(spec, *_grouped(ins))
+        ev = _Evaluator(spec, *grouped(ins))
         units = [u for u in range(2, n) if gcd(u, n) == 1]
         for subset in iter_colex(n, spec.r):
             value = ev.summand(subset)
@@ -635,9 +640,9 @@ def test_parallel_matches_serial_on_random_specs(n, data):
         assert vi_integral_parallel(spec, ins, workers).value == reference, workers
     # These sums are too small for the policy to start a pool; drive one directly.
     # Equal decoded sums S give equal galois_average values, and more.
-    serial = _folded_total(spec, *_grouped(ins), 1)
+    serial = _folded_total(spec, *grouped(ins), 1)
     for workers in (2, 3):
-        assert _folded_total(spec, *_grouped(ins), workers) == serial, workers
+        assert _folded_total(spec, *grouped(ins), workers) == serial, workers
 
 
 def test_pool_size_policy_at_its_boundaries():
