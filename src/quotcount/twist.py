@@ -41,6 +41,7 @@ from .vi_engine import (
     PLAIN_TARGET_ADVISORY,
     SEGRE_ADVISORY,
     VirtualCount,
+    _validate,
     certified,
     vi_integral,
 )
@@ -180,15 +181,17 @@ B_WORD_ADVISORY = Advisory(
 def reduce_b_classes(word: BClassWord, base: GrassmannSpec, workers: int = 1) -> VirtualCount:
     """Trade s odd-class pairs for a_1^s / n^s inside a plain integral.
 
-    Vanishes when a pair index repeats or when s exceeds the map degree.
+    After the engine's refusals, vanishes when a pair index repeats or s > d.
     """
     s = len(word.pair_indices)
     if any(j > base.g for j in word.pair_indices):
         raise ValueError("pair indices must lie in [1, g]")
     check_degree(word.monomial, base.virtual_dim - s, f"virtual dimension minus {s} (the pair count)")
+    boosted = word.monomial.times(chern(1), s)
     if len(set(word.pair_indices)) < s or s > base.d:
+        _validate(base, boosted)
         return VirtualCount(Fraction(0), True, B_WORD_ADVISORY)
-    raw = vi_integral(base, word.monomial.times(chern(1), s), workers).value
+    raw = vi_integral(base, boosted, workers).value
     return certified(raw / Fraction(base.n) ** s, B_WORD_ADVISORY)
 
 
@@ -204,10 +207,7 @@ def closed_form_projective(g: int, d: int, r: int, multidegree: Sequence[int]) -
     Pure arithmetic; nonzero only when sum of degrees is at most r.
     """
     spec = _projective(g, d, r, multidegree)
-    value = Fraction(r + 1 - sum(spec.multidegree)) ** g
-    for l in spec.multidegree:
-        value *= Fraction(l) ** (d * l - g + 1)
-    return _flagged(value, enumerativity_advisor(spec))
+    return _flagged(_closed_scalar(spec) * (r + 1) ** g, enumerativity_advisor(spec))
 
 
 def closed_form_lg24(g: int, d: int, m1: int, m2: int) -> VirtualCount:
@@ -250,7 +250,7 @@ def tevelev_compare(g: int, d: int, r: int, l: int, t: Optional[int] = None) -> 
         t = quotient
     elif t != quotient:
         raise DimensionMismatchError(f"t={t} inconsistent with e_l/(r-1)={quotient}")
-    q_value = Fraction(l) ** (d * l - g + 1 - t) * Fraction(r + 1 - l) ** g
+    q_value = _closed_scalar(spec) * (r + 1) ** g / Fraction(l) ** t
     q_count = _flagged(q_value, enumerativity_advisor(spec))
     implied = Fraction(factorial(l), l**l) ** t * q_value
     return TevelevComparison(q_count, implied, implied.denominator == 1, t)

@@ -16,9 +16,9 @@ a division:
 
     1/J(I) = n^(-r) * w^(sum of I) * prod over i != j in I of (w^i - w^j).
 
-The summands are evaluated packed (Kronecker substitution): w -> 2^K
-maps Z[w]/(w^n - 1) onto the integers modulo 2^(K*n) - 1 as a ring
-homomorphism, so a product by a root is a bit rotation, a factor
+`_summand` evaluates a summand in `_packed_ring` (Kronecker substitution):
+w -> 2^K maps Z[w]/(w^n - 1) onto the integers modulo 2^(K*n) - 1 as a
+ring homomorphism, so a product by a root is a bit rotation, a factor
 w^i - w^k is two rotations and a subtraction, and an insertion power is
 square-and-multiply with a fold of the high bits onto the low ones.
 K is two bits wider than a proven bound on every coefficient of the
@@ -407,21 +407,18 @@ def _coefficient_bound(spec: GrassmannSpec, cherns, segres) -> int:
     return bound << (r * (r - 1) if g == 0 else r * (n - r) * (g - 1))
 
 
-def _packed_sum(job) -> int:
-    """S (times n^r at genus 0) as a residue modulo M = 2^(K*n) - 1.
-
-    w -> 2^K packs Z[w]/(w^n - 1) into the integers modulo M, so a product
-    by w^a is a rotation of K*n-bit words by K*a bits, and products fold
-    the high half back onto the low one (2^(K*n) = 1 modulo M).  Nothing
-    divides a K*n-bit word: CPython divides big integers in quadratic time.
+def _packed_ring(n: int, width: int):
+    """Z[w]/(w^n - 1) packed into the integers modulo M = 2^(width*n) - 1
+    by w -> 2^width, as (M, rotate, times): rotate(x, a) = x * w^a, for
+    0 <= a < n, turns a width*n-bit word by width*a bits, and times folds
+    the high half of a product onto the low one (2^(width*n) = 1 modulo M).
+    Nothing divides a word: CPython divides big integers in quadratic time.
     Values stay in [0, M].
     """
-    spec, cherns, segres, reps, width = job
-    n, gm1 = spec.n, spec.g - 1
     bits = width * n
     m = (1 << bits) - 1
 
-    def rotate(x: int, a: int) -> int:  # x * w^a for 0 <= a < n
+    def rotate(x: int, a: int) -> int:
         s = width * a
         return ((x << s) & m) | (x >> (bits - s))
 
@@ -430,7 +427,15 @@ def _packed_sum(job) -> int:
         t = (t & m) + (t >> bits)
         return t - m if t >= m else t
 
-    def power(x: int, k: int) -> int:
+    return m, rotate, times
+
+
+def _summand(ring, subset: Sequence[int], n: int, cherns, segres, gm1: int) -> int:
+    """The summand of `subset` (times n^r at genus 0, gm1 = g - 1) in `ring`,
+    a (modulus, rotate, times) triple such as `_packed_ring`'s."""
+    m, rotate, times = ring
+
+    def power(x: int, k: int) -> int:  # square-and-multiply
         out = 1
         while k:
             if k & 1:
@@ -440,48 +445,42 @@ def _packed_sum(job) -> int:
                 x = times(x, x)
         return out
 
-    def differences(x: int, subset, others, turn: int = 0) -> int:
-        # x * w^turn * prod (w^i - w^k) = x * w^(turn + sum of i) * prod (1 - w^(k-i))
+    acc = 1
+    # As root w^a joins, e_k += w^a * e_(k-1) top down (the old e_(k-1); e_k is
+    # 0 above the roots filled) and h_k += w^a * h_(k-1) bottom up (the new one).
+    for powers, elementary in ((cherns, True), (segres, False)):
+        if powers:
+            top = powers[-1][0]
+            values = [1] + [0] * top
+            for filled, a in enumerate(subset, 1):
+                for k in range(min(filled, top), 0, -1) if elementary else range(1, top + 1):
+                    t = values[k] + rotate(values[k - 1], a)
+                    values[k] = t - m if t >= m else t
+            for i, x in powers:
+                acc = times(acc, power(values[i], x))
+    if gm1:
+        # J is the product over i in I, k not in I of w^i - w^k = w^i * (1 - w^(k-i)),
+        # n^r/J is w^(sum of I) times that over i != k in I; the powers of w add
+        # up to a turn by len(others) * (sum of I).  A first power is taken on acc.
+        inside = set(subset)
+        others = subset if gm1 < 0 else [k for k in range(n) if k not in inside]
+        x = acc if gm1 < 2 else 1
         for i in subset:
             for k in others:
                 if k != i:
                     t = x - rotate(x, (k - i) % n)
                     x = t + m if t < 0 else t
-                    turn += i
-        return rotate(x, turn % n)
+        x = rotate(x, len(others) * sum(subset) % n)
+        acc = x if gm1 < 2 else times(acc, power(x, gm1))
+    return acc
 
-    top_e = cherns[-1][0] if cherns else 0
-    top_h = segres[-1][0] if segres else 0
-    total = 0
-    for subset, weight in reps:
-        acc = 1
-        if top_e:
-            es = [1] + [0] * top_e
-            for filled, a in enumerate(subset, 1):
-                for k in range(min(filled, top_e), 0, -1):
-                    t = es[k] + rotate(es[k - 1], a)
-                    es[k] = t - m if t >= m else t
-            for i, x in cherns:
-                acc = times(acc, power(es[i], x))
-        if top_h:
-            hs = [1] + [0] * top_h
-            for a in subset:
-                for k in range(1, top_h + 1):
-                    t = hs[k] + rotate(hs[k - 1], a)
-                    hs[k] = t - m if t >= m else t
-            for i, y in segres:
-                acc = times(acc, power(hs[i], y))
-        if gm1 < 0:
-            acc = differences(acc, subset, subset, sum(subset))
-        elif gm1:
-            inside = set(subset)
-            others = [k for k in range(n) if k not in inside]
-            if gm1 == 1:
-                acc = differences(acc, subset, others)
-            else:
-                acc = times(acc, power(differences(1, subset, others), gm1))
-        total += weight * acc
-    return _fold(total, bits)
+
+def _packed_sum(job) -> int:
+    """S (times n^r at genus 0) as a residue modulo 2^(K*n) - 1."""
+    spec, cherns, segres, reps, width = job
+    ring = _packed_ring(spec.n, width)
+    total = sum(weight * _summand(ring, subset, spec.n, cherns, segres, spec.g - 1) for subset, weight in reps)
+    return _fold(total, width * spec.n)
 
 
 def _fold(t: int, bits: int) -> int:

@@ -254,6 +254,55 @@ def test_b_class_guards():
         BClassWord((1,), monomial((segre(1), 2)))
 
 
+@pytest.mark.parametrize("pairs, ins, value", [
+    ((1, 1), ((chern(3), 1), (chern(1), 4)), None),  # a repeated pair vanishes
+    ((1,), ((chern(3), 1), (chern(1), 5)), None),
+    ((1, 1), ((chern(1), 7),), 0),
+    ((1,), ((chern(1), 8),), 1),
+])
+def test_b_class_rank_refusal_runs_once_whatever_the_pairs(monkeypatch, pairs, ins, value):
+    from quotcount import twist, vi_engine
+    from quotcount.cli import EXIT_VALIDATION, JobRequest, run
+
+    base = GrassmannSpec(2, 3, 1, 3)  # e = 9, less one per pair
+    calls = []
+    for module in (twist, vi_engine):
+        check = module._validate
+        monkeypatch.setattr(module, "_validate", lambda *args, check=check: calls.append(args) or check(*args))
+    if value is None:
+        with pytest.raises(ValueError, match="Chern insertion index 3 exceeds rank 2"):
+            reduce_b_classes(BClassWord(pairs, monomial(*ins)), base)
+    else:
+        assert reduce_b_classes(BClassWord(pairs, monomial(*ins)), base).value == value
+    assert len(calls) == 1
+    record = run(JobRequest(mode="b-reduce", g=1, d=3, r=2, n=3, b_pairs=pairs,
+                            insertions=tuple(("chern", i.index, x) for i, x in ins))).to_dict()
+    if value is None:
+        assert record["error"] == {"exit": EXIT_VALIDATION, "type": "ValueError",
+                                   "message": "Chern insertion index 3 exceeds rank 2"}
+    else:
+        assert record["value"]["exact"] == str(value)
+
+
+def test_closed_forms_are_the_closed_scalar_products_on_a_grid():
+    # prod l^(d*l-g+1) * (r+1-sum l)^g, and Q = that / l^t for one degree
+    for g in range(4):
+        for d in range(5):
+            for r in range(1, 7):
+                for multidegree in [(1,), (2,), (3,), (1, 1), (1, 2), (2, 3)]:
+                    value = Fraction(r + 1 - sum(multidegree)) ** g
+                    for l in multidegree:
+                        value *= Fraction(l) ** (d * l - g + 1)
+                    assert closed_form_projective(g, d, r, multidegree).value == value
+                    if len(multidegree) > 1 or r < 2:
+                        continue
+                    try:
+                        report = tevelev_compare(g, d, r, multidegree[0])
+                    except DimensionMismatchError:
+                        continue
+                    assert report.point_count.value == value / Fraction(multidegree[0]) ** report.t
+
+
 def test_tevelev_linear_case_factor_is_one():
     report = tevelev_compare(1, 2, 3, 1)
     assert report.t == 3

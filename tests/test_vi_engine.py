@@ -28,8 +28,10 @@ from quotcount.vi_engine import (
     _coefficient_bound,
     _Evaluator,
     _folded_total,
+    _packed_ring,
     _ramanujan,
     _sign,
+    _summand,
     _validate,
     affine_orbits,
     balanced_digits,
@@ -544,6 +546,60 @@ def test_summand_rotation_invariance():
             for u in units:
                 image = tuple(sorted(u * a % n for a in subset))
                 assert ev.summand(image) == galois(value, u), (spec, subset, u)
+
+
+@pytest.mark.parametrize("spec, ins", [
+    (GrassmannSpec(2, 5, 0, 1), hyperplanes(11)),
+    (GrassmannSpec(3, 7, 0, 1), monomial((segre(2), 5), (segre(3), 3))),
+    (GrassmannSpec(3, 8, 0, 1), monomial((chern(1), 3), (segre(2), 4), (chern(3), 3), (segre(3), 1))),
+    (GrassmannSpec(2, 6, 1, 1), monomial((chern(1), 4), (chern(2), 1))),
+    (GrassmannSpec(2, 4, 1, 1), monomial((segre(2), 2))),
+    (GrassmannSpec(3, 8, 1, 1), monomial((chern(1), 2), (segre(2), 3))),
+    (GrassmannSpec(2, 8, 2, 2), monomial((chern(2), 1), (chern(1), 2))),
+    (GrassmannSpec(3, 7, 2, 3), monomial((chern(1), 3), (segre(3), 2))),
+    (GrassmannSpec(2, 6, 3, 4), monomial((segre(2), 2), (chern(1), 4))),
+    (GrassmannSpec(3, 6, 3, 5), monomial((chern(3), 1), (segre(4), 2), (chern(1), 1))),
+])
+def test_each_packed_summand_decodes_to_the_reference_summand(spec, ins):
+    # Errors that cancel in the folded total show here: for every subset I,
+    # the engine's summand decodes to the evaluator's (times n^r at genus 0),
+    # I + 1 decodes to the same digits and u*I to sigma_u of them.
+    cherns, segres = grouped(_validate(spec, ins))
+    n = spec.n
+    width = _coefficient_bound(spec, cherns, segres).bit_length() + 2
+    ring = _packed_ring(n, width)
+    reference = _Evaluator(spec, cherns, segres)
+    scale = n ** spec.r if spec.g == 0 else 1
+
+    def digits(subset):
+        return balanced_digits(_summand(ring, subset, n, cherns, segres, spec.g - 1), width, n)
+
+    units = [u for u in range(2, n) if gcd(u, n) == 1]
+    for subset in iter_colex(n, spec.r):
+        decoded = digits(subset)
+        assert decoded == tuple(c * scale for c in reference.summand(subset).coeffs), (spec, subset)
+        assert digits(tuple(sorted((a + 1) % n for a in subset))) == decoded, (spec, subset)
+        for u in units:
+            image = digits(tuple(sorted(u * a % n for a in subset)))
+            assert image == galois(Cyc(n, decoded), u).coeffs, (spec, subset, u)
+
+
+def test_the_reference_route_and_the_engine_summand_share_no_code():
+    import ast
+    import inspect
+
+    tree = ast.parse(inspect.getsource(vi_engine))
+    defs = {node.name: node for node in tree.body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+
+    def names(name):
+        nodes = list(ast.walk(defs[name]))
+        return ({node.id for node in nodes if isinstance(node, ast.Name)}
+                | {node.attr for node in nodes if isinstance(node, ast.Attribute)})
+
+    for reference in ("_Evaluator", "vi_integral_orbit_reduced"):
+        assert not names(reference) & {"_summand", "_packed_ring"}, reference
+    for engine in ("_summand", "_packed_ring", "_packed_sum"):
+        assert not names(engine) & {"_Evaluator", "Cyc"}, engine
 
 
 def test_genus0_weight_inverts_j_in_the_field():
