@@ -171,15 +171,13 @@ def _section(req: JobRequest, monomial: Monomial, result: JobResult) -> ProblemS
 
 
 def _hypersurface(req: JobRequest, monomial: Monomial, result: JobResult) -> VirtualCount:
-    problem = _section(req, monomial, result)
-    if req.path == "closed":
-        return twist.hypersurface_integral(problem, req.workers)
-    closed, phi, agree = twist.hypersurface_both_paths(problem, req.workers)
-    result.blocks["paths"] = {
-        "closed": _exact_str(closed.value),
-        "phi_expansion": _exact_str(phi.value),
-        "agree": agree,
-    }
+    closed, phi, agree = twist.hypersurface_both_paths(_section(req, monomial, result), req.workers)
+    if req.path != "closed":
+        result.blocks["paths"] = {
+            "closed": _exact_str(closed.value),
+            "phi_expansion": _exact_str(phi.value),
+            "agree": agree,
+        }
     return phi if req.path == "phi" else closed
 
 
@@ -286,7 +284,7 @@ def run(req: JobRequest) -> JobResult:
 
 # -- presets ----------------------------------------------------------------
 
-PRESETS: dict[str, tuple[str, JobRequest, Optional[str]]] = {
+PRESETS: dict[str, tuple[str, JobRequest, str]] = {
     "p2-elliptic-3pt": (
         "genus-1 degree-1 maps to the projective plane through 3 lines",
         JobRequest(mode="grassmannian", g=1, d=1, r=2, n=3,
@@ -360,14 +358,10 @@ PRESETS: dict[str, tuple[str, JobRequest, Optional[str]]] = {
 }
 
 
-def run_preset(name: str) -> tuple[JobResult, Optional[str], bool]:
+def run_preset(name: str) -> tuple[JobResult, str, bool]:
     _, request, expected = PRESETS[name]
     result = run(request)
-    matched = (
-        expected is None
-        or (result.value is not None and _exact_str(result.value) == expected)
-    )
-    return result, expected, matched
+    return result, expected, result.value is not None and _exact_str(result.value) == expected
 
 
 # -- rendering --------------------------------------------------------------
@@ -381,9 +375,8 @@ def _render(result: JobResult, fmt: str, out=None) -> None:
     if not result.ok:
         out.write(f"{result.mode}: ERROR {d['error']['type']}: {d['error']['message']}\n")
         return
-    lines = [f"{result.mode}: value = {d['value']['exact']}"]
-    if result.advisory is not None:
-        lines.append(f"  advisory: {result.advisory.status.value} ({result.advisory.reason})")
+    lines = [f"{result.mode}: value = {d['value']['exact']}",
+             f"  advisory: {result.advisory.status.value} ({result.advisory.reason})"]
     for key in ("dims", *result.blocks):
         if d.get(key):
             lines.append(f"  {key}: {_encode(d[key])}")
@@ -439,7 +432,10 @@ def _strict_int(value: object, name: str) -> None:
 
 
 def _strict_insertions(value: object, name: str) -> None:
-    for _, index, exponent in value:
+    for insertion in value:
+        if len(insertion) != 3:  # as len() of a non-sequence does; _check_fields names the field
+            raise TypeError
+        _, index, exponent = insertion
         # one test per insertion; the calls below name the defect it found
         if type(index) is not int or type(exponent) is not int or exponent < 0:
             _strict_int(index, "insertion index")
@@ -501,7 +497,10 @@ def _request_from_record(record: object) -> JobRequest:
     for key, (name, convert) in _BATCH_KEYS.items():
         # The first spelling present wins; absent fields keep JobRequest's defaults.
         if key in record and name not in values:
-            values[name] = record[key] if convert is None else convert(record[key])
+            try:
+                values[name] = record[key] if convert is None else convert(record[key])
+            except TypeError:  # not iterable, or an insertion that is not
+                raise ValueError(f"{name} is malformed: {record[key]!r}") from None
     return JobRequest(mode=record["mode"], **values)
 
 
@@ -539,14 +538,11 @@ def run_batch(path: str, out=None) -> int:
 RECORD_MEMO_SIZE = 4096
 
 
-def _split_stats(text: str, stats: Optional[dict]) -> tuple[str, dict, str]:
+def _split_stats(text: str, stats: dict) -> tuple[str, dict, str]:
     """(head, stats, tail) with `head + _encode(stats) + tail == text`, the
     record's encoding.  Keys are sorted and JSON escapes every quote in a
     string, so the last `"stats": {...}` is the record's own: the keys after
-    it (tevelev, value) hold only program-made numbers and flags.  A record
-    without stats is a line that is not a request; its keys sort before."""
-    if stats is None:
-        return text[:-1] + ', "stats": ', {}, "}"
+    it (tevelev, value) hold only program-made numbers and flags."""
     head, found, tail = text.rpartition('"stats": ' + _encode(stats))
     assert found, "a record's stats must appear in its encoding"
     return head + '"stats": ', stats, tail
@@ -587,13 +583,14 @@ def _run_lines(handle, out) -> int:
             except (ValueError, TypeError, KeyError, RecursionError) as exc:
                 # UnicodeDecodeError is a ValueError; RecursionError: a line nested too deeply to parse
                 result = JobResult(mode=mode, ok=False, error=_error(exc, EXIT_VALIDATION))
+                result.stats["seconds"] = round(time.perf_counter() - started, 6)
             else:
                 result = run(request)
             record, code = result.to_dict(), _exit_code(result)
             text = _encode(record)
             agree = record["paths"]["agree"] if "paths" in record else None
             if len(firsts) < RECORD_MEMO_SIZE:
-                firsts[key] = (*_split_stats(text, record.get("stats")), code, agree)
+                firsts[key] = (*_split_stats(text, record["stats"]), code, agree)
         if agree is not None:
             agreements.append(agree)
         exits[code] += 1

@@ -15,6 +15,10 @@ expands the same top class through the odd-cohomology square phi instead
 of closing the binomial sum; the two agree whenever d >= g, and with the
 dimension constraints in force every in-regime problem on a proper
 Grassmannian in fact has d >= g, so the truncation is never visible.
+Every section count, on either path and for any multidegree, is read off
+one body, `_section_count`: the section's checks, one engine run, and
+the closed count certified by `vi_engine.certified`, the engine's own
+certificate.
 
 Closed forms for projective targets and for the Lagrangian section of
 G(2, 4), and the fixed-point-count comparison, compute their values as
@@ -22,8 +26,9 @@ pure arithmetic (no engine call).  Each states its target as a
 ProblemSpec, so its genus, degree, rank and multidegree are checked as
 that spec is built, and its advisory comes from the one enumerativity
 advisor; the Lagrangian form also runs the regime and insertion-degree
-checks of the engine-backed section counts.  An integer result is
-certified by `vi_engine.certified`, the engine's own certificate.
+checks of the engine-backed section counts.  These values and the phi
+path's are reported as they are, uncertified: a count's `is_integer` is
+read off its value.
 """
 
 from __future__ import annotations
@@ -115,41 +120,33 @@ def _phi_scalar(spec: ProblemSpec) -> Fraction:
     )
 
 
-def _check_hypersurface(spec: ProblemSpec, *, both_paths: bool) -> None:
-    """A hypersurface count's own precondition, checked before those of
-    `_check_section`: a single section degree, refused in the name of the
-    closed path or of the path comparison (`both_paths`)."""
-    if len(spec.multidegree) != 1:
-        what = "path comparison" if both_paths else "hypersurface_integral"
-        raise ValueError(f"{what} expects exactly one section degree")
-
-
-def _flagged(value: Fraction, advisory: Advisory) -> VirtualCount:
-    """A count reported with an honest integrality flag instead of a certificate."""
-    return VirtualCount(value, value.denominator == 1, advisory)
+def _section_count(spec: ProblemSpec, workers: int) -> tuple[VirtualCount, Fraction]:
+    """The certified closed count on the sections, with the boosted plain
+    count it scales: `_check_section`, then one engine run."""
+    _check_section(spec)
+    raw = vi_integral(*_boost(spec), workers).value
+    return certified(raw * _closed_scalar(spec), enumerativity_advisor(spec)), raw
 
 
 def hypersurface_integral(spec: ProblemSpec, workers: int = 1) -> VirtualCount:
     """Count on a single degree-l section: prefactor times boosted plain count."""
-    _check_hypersurface(spec, both_paths=False)
-    return complete_intersection_integral(spec, workers)
+    return hypersurface_both_paths(spec, workers)[0]
 
 
 def complete_intersection_integral(spec: ProblemSpec, workers: int = 1) -> VirtualCount:
     """Count on a multidegree section; with one factor this is the hypersurface case."""
-    _check_section(spec)
-    value = vi_integral(*_boost(spec), workers).value * _closed_scalar(spec)
-    return certified(value, enumerativity_advisor(spec))
+    return _section_count(spec, workers)[0]
 
 
 def hypersurface_both_paths(spec: ProblemSpec, workers: int = 1) -> tuple[VirtualCount, VirtualCount, bool]:
-    """Closed and expansion paths off a single engine run, plus agreement."""
-    _check_hypersurface(spec, both_paths=True)
-    _check_section(spec)
-    raw = vi_integral(*_boost(spec), workers).value
-    advisory = enumerativity_advisor(spec)
-    closed = certified(raw * _closed_scalar(spec), advisory)
-    phi = _flagged(raw * _phi_scalar(spec), advisory)
+    """Closed and expansion paths off a single engine run, plus agreement.
+
+    A single section degree is refused first, before the section's own checks.
+    """
+    if len(spec.multidegree) != 1:
+        raise ValueError("hypersurface_integral expects exactly one section degree")
+    closed, raw = _section_count(spec, workers)
+    phi = VirtualCount(raw * _phi_scalar(spec), closed.advisory)
     return closed, phi, closed.value == phi.value
 
 
@@ -190,7 +187,7 @@ def reduce_b_classes(word: BClassWord, base: GrassmannSpec, workers: int = 1) ->
     boosted = word.monomial.times(chern(1), s)
     if len(set(word.pair_indices)) < s or s > base.d:
         _validate(base, boosted)
-        return VirtualCount(Fraction(0), True, B_WORD_ADVISORY)
+        return VirtualCount(Fraction(0), B_WORD_ADVISORY)
     raw = vi_integral(base, boosted, workers).value
     return certified(raw / Fraction(base.n) ** s, B_WORD_ADVISORY)
 
@@ -207,7 +204,7 @@ def closed_form_projective(g: int, d: int, r: int, multidegree: Sequence[int]) -
     Pure arithmetic; nonzero only when sum of degrees is at most r.
     """
     spec = _projective(g, d, r, multidegree)
-    return _flagged(_closed_scalar(spec) * (r + 1) ** g, enumerativity_advisor(spec))
+    return VirtualCount(_closed_scalar(spec) * (r + 1) ** g, enumerativity_advisor(spec))
 
 
 def closed_form_lg24(g: int, d: int, m1: int, m2: int) -> VirtualCount:
@@ -220,7 +217,7 @@ def closed_form_lg24(g: int, d: int, m1: int, m2: int) -> VirtualCount:
     spec = ProblemSpec(GrassmannSpec(2, 4, g, d), (1,), insertions)
     _check_section(spec)
     value = Fraction(2) ** (2 * d - m2 - g + 1) * 3**g
-    return _flagged(value, enumerativity_advisor(spec))
+    return VirtualCount(value, enumerativity_advisor(spec))
 
 
 class TevelevComparison(NamedTuple):
@@ -251,7 +248,7 @@ def tevelev_compare(g: int, d: int, r: int, l: int, t: Optional[int] = None) -> 
     elif t != quotient:
         raise DimensionMismatchError(f"t={t} inconsistent with e_l/(r-1)={quotient}")
     q_value = _closed_scalar(spec) * (r + 1) ** g / Fraction(l) ** t
-    q_count = _flagged(q_value, enumerativity_advisor(spec))
+    q_count = VirtualCount(q_value, enumerativity_advisor(spec))
     implied = Fraction(factorial(l), l**l) ** t * q_value
     return TevelevComparison(q_count, implied, implied.denominator == 1, t)
 

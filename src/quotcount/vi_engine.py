@@ -108,17 +108,21 @@ SEGRE_ADVISORY = Advisory(
 
 
 class VirtualCount(NamedTuple):
-    """An exact virtual count: value, integrality certificate, advisory.
+    """An exact virtual count: value and advisory, with `is_integer` read
+    off the value.
 
-    Equality and hashing see those three only: `summands` (one per affine
-    orbit) and `workers` (processes used) are statistics of the run.
+    Equality and hashing see value and advisory only: `summands` (one per
+    affine orbit) and `workers` (processes used) are statistics of the run.
     """
 
     value: Fraction
-    is_integer: bool
     advisory: Advisory
     summands: Optional[int] = None
     workers: Optional[int] = None
+
+    @property
+    def is_integer(self) -> bool:
+        return self.value.denominator == 1
 
     def as_integer(self) -> int:
         return int(certified(self.value, self.advisory).value)
@@ -126,13 +130,13 @@ class VirtualCount(NamedTuple):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VirtualCount):
             return NotImplemented
-        return self[:3] == other[:3]
+        return self[:2] == other[:2]
 
     def __ne__(self, other: object) -> bool:
         return not self == other
 
     def __hash__(self) -> int:
-        return hash(self[:3])
+        return hash(self[:2])
 
 
 def certified(
@@ -141,7 +145,7 @@ def certified(
     """`value` as a count certified to be an integer; NonIntegralError if it is not."""
     if value.denominator != 1:
         raise NonIntegralError(f"count came out non-integral: {value}")
-    return VirtualCount(value, True, advisory, summands, workers)
+    return VirtualCount(value, advisory, summands, workers)
 
 
 class GrassmannSpec(NamedTuple("GrassmannSpec", [("r", int), ("n", int), ("g", int), ("d", int)])):

@@ -342,6 +342,41 @@ def test_batch_refuses_bad_workers_path_and_variant(tmp_path):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("field, message", [
+    ('"ins": 5', "insertions is malformed: 5"),
+    ('"insertions": [5]', "insertions is malformed: [5]"),
+    ('"multidegree": 1', "multidegree is malformed: 1"),
+    ('"b_pairs": 1', "b_pairs is malformed: 1"),
+    ('"insertions": [[1, 2]]', "insertions is malformed: ((1, 2),)"),
+])
+def test_a_malformed_batch_field_is_a_value_error_that_names_it(tmp_path, field, message):
+    line = '{"mode": "b-reduce", "g": 1, "d": 1, "r": 2, "n": 3, %s}' % field
+    code, rows = run_batch_lines(tmp_path, [line])
+    assert rows[0]["mode"] == "b-reduce" and rows[0]["ok"] is False
+    assert rows[0]["error"] == {"type": "ValueError", "message": message, "exit": EXIT_VALIDATION}
+    assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("request_", [
+    JobRequest(mode="hypersurface", g=1, d=2, r=2, n=4, multidegree=(1,),
+               insertions=(("chern", 1, 4), ("chern", 2, 1))),
+    JobRequest(mode="hypersurface", g=0, d=2, r=3, n=4, multidegree=(2,), insertions=(("chern", 1, 6),)),
+    JobRequest(mode="hypersurface", g=1, d=1, r=2, n=4, multidegree=(4,)),
+    JobRequest(mode="hypersurface", g=1, d=2, r=2, n=4, multidegree=(1, 1)),
+    JobRequest(mode="hypersurface", g=2, d=1, r=2, n=4, multidegree=(1,)),
+], ids=lambda request_: f"g{request_.g}d{request_.d}l{request_.multidegree}")
+def test_the_hypersurface_paths_differ_only_in_value_and_paths_block(request_):
+    records = {path: run(request_._replace(path=path)).to_dict() for path in ("closed", "phi", "both")}
+    for record in records.values():
+        record.pop("stats")
+    if records["closed"]["ok"]:
+        assert records["phi"]["paths"] == records["both"].pop("paths")
+        assert records["phi"].pop("paths")["closed"] == records["closed"]["value"]["exact"]
+        for record in records.values():
+            record.pop("value")
+    assert records["closed"] == records["phi"] == records["both"]
+
+
 def test_run_refuses_unknown_path_and_variant_from_code():
     requests = [
         JobRequest(mode="hypersurface", g=1, d=2, r=2, n=4, multidegree=(1,),
@@ -362,6 +397,7 @@ def test_run_refuses_mistyped_fields_from_code():
         (dict(workers="2"), "workers"), (dict(workers=None), "workers"), (dict(g="1"), "g"),
         (dict(n=3.0), "n"), (dict(r=True), "r"), (dict(multidegree=2), "multidegree"),
         (dict(insertions=(3,)), "insertions"), (dict(insertions=(("chern", 1, 3.0),)), "exponent"),
+        (dict(insertions=(("chern", 1),)), "insertions is malformed"),
     ]
     for change, word in cases:
         record = run(JobRequest(**{**base, **change})).to_dict()
@@ -815,14 +851,15 @@ def test_a_repeated_failure_is_the_same_error(tmp_path):
                                  not_utf8, b"not json "]) + b"\n")
     buffer = io.StringIO()
     code = run_batch(str(path), out=buffer)
-    # the first records of the last two lines have no stats to split around
     rows = encoded_rows(buffer.getvalue())
     assert [row.get("error", {}).get("type") for row in rows[:3]] == [
         "DimensionMismatchError", "UnicodeDecodeError", "JSONDecodeError"]
     for first, again in zip(rows[:3], rows[3:6]):
         assert again["error"] == first["error"] and again["error"]["exit"] == EXIT_VALIDATION
         assert without_stats(again) == without_stats(first)
-        assert again["stats"]["reused"] is True
+        # a line that is not a request is timed like any other
+        assert set(first["stats"]) >= {"seconds"} and "reused" not in first["stats"]
+        assert again["stats"]["reused"] is True and "seconds" in again["stats"]
     summary = rows[-1]
     assert (summary["records"], summary["validation_errors"]) == (6, 6)
     assert summary["stats"]["reused_records"] == 3

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from quotcount import twist
 from quotcount.errors import (
     DimensionMismatchError,
+    QuotcountError,
     RegimeViolationError,
 )
 from quotcount.symfunc import chern, monomial, segre
@@ -22,7 +24,7 @@ from quotcount.twist import (
     reduce_b_classes,
     tevelev_compare,
 )
-from quotcount.vi_engine import Enumerativity, GrassmannSpec
+from quotcount.vi_engine import Enumerativity, GrassmannSpec, vi_integral
 
 
 def lagrangian_g24(g, d, m1, m2):
@@ -413,3 +415,76 @@ def test_advisor_bounds():
 def test_advisor_in_results():
     count = hypersurface_integral(lagrangian_g24(1, 2, 4, 1))
     assert count.advisory.status is Enumerativity.ENUMERATIVE_IF_WEAKLY_CONVEX
+
+
+def counts_on_a_small_grid():
+    """(call, count) for every kind of count on small problems, refusals
+    skipped: the engine, the three section counts, the phi path, the
+    odd-class reduction (its vanishing zero included), both closed forms
+    and the Tevelev point count."""
+    calls = [("closed_form_projective", (2, 0, 4, (2,)))]  # 9/2
+    for g in range(3):
+        for d in range(4):
+            calls += [("closed_form_lg24", (g, d, m1, m2)) for m1 in range(7) for m2 in range(4)]
+            for r in range(1, 6):
+                for multidegree in [(1,), (2,), (3,), (1, 1), (1, 2)]:
+                    calls.append(("closed_form_projective", (g, d, r, multidegree)))
+                calls += [("tevelev_compare", (g, d, r, l)) for l in range(1, r + 1)]
+            for r, n in ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4)):
+                base = GrassmannSpec(r, n, g, d)
+                calls.append(("vi_integral", (base, monomial((chern(1), max(base.virtual_dim, 0))))))
+                for pairs in ((1,), (1, 1), (1, 2)):
+                    word = BClassWord(pairs, monomial((chern(1), max(base.virtual_dim - len(pairs), 0))))
+                    calls.append(("reduce_b_classes", (word, base)))
+                for multidegree in [(1,), (2,), (1, 1)]:
+                    twisted = ProblemSpec(base, multidegree, ()).twisted_dim
+                    spec = ProblemSpec(base, multidegree, monomial((chern(1), max(twisted, 0))))
+                    calls += [(name, (spec,)) for name in (
+                        "hypersurface_integral", "complete_intersection_integral", "hypersurface_both_paths")]
+    for name, args in calls:
+        try:
+            out = (vi_integral if name == "vi_integral" else getattr(twist, name))(*args)
+        except (ValueError, QuotcountError):
+            continue
+        if name == "hypersurface_both_paths":
+            yield (name + ".closed", args), out[0]
+            yield (name + ".phi", args), out[1]
+        elif name == "tevelev_compare":
+            yield (name, args), out.point_count
+        else:
+            yield (name, args), out
+
+
+def test_every_count_reads_its_integrality_off_its_value():
+    seen = {}
+    for (name, args), count in counts_on_a_small_grid():
+        assert count.is_integer == (count.value.denominator == 1), (name, args)
+        seen.setdefault(name, set()).add(count.is_integer)
+    assert seen["closed_form_projective"] == {True, False}
+    assert closed_form_projective(2, 0, 4, (2,)).value == Fraction(9, 2)
+    assert not closed_form_projective(2, 0, 4, (2,)).is_integer
+    assert set(seen) == {
+        "vi_integral", "hypersurface_integral", "complete_intersection_integral",
+        "hypersurface_both_paths.closed", "hypersurface_both_paths.phi", "reduce_b_classes",
+        "closed_form_projective", "closed_form_lg24", "tevelev_compare"}
+    # the odd-class reduction's vanishing zero is on the grid too
+    zero = reduce_b_classes(BClassWord((1, 1), (chern(1),)), GrassmannSpec(2, 3, 1, 1))
+    assert zero.value == 0 and zero.is_integer
+
+
+@pytest.mark.parametrize("spec", [
+    lagrangian_g24(0, 1, 6, 0), lagrangian_g24(1, 2, 4, 1), lagrangian_g24(2, 3, 4, 1),
+    projective(3, 0, 2, (2,), 6), projective(4, 1, 2, (3,), 4),
+    ProblemSpec(GrassmannSpec(2, 4, 1, 1), (4,), ()),
+], ids=str)
+def test_the_section_counts_share_one_body_and_one_engine_call(monkeypatch, spec):
+    calls = []
+    monkeypatch.setattr(twist, "vi_integral", lambda *args: calls.append(args) or vi_integral(*args))
+    counts = []
+    for count in (hypersurface_integral, complete_intersection_integral,
+                  lambda spec: hypersurface_both_paths(spec)[0]):
+        calls.clear()
+        counts.append(count(spec))
+        assert len(calls) == 1, count
+    assert counts[0] == counts[1] == counts[2]
+    assert counts[0].is_integer

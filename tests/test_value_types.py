@@ -22,7 +22,7 @@ from quotcount.vi_engine import (
 )
 
 SPEC = GrassmannSpec(2, 4, 1, 1)
-COUNT = VirtualCount(Fraction(3), True, PLAIN_TARGET_ADVISORY, summands=7, workers=2)
+COUNT = VirtualCount(Fraction(3), PLAIN_TARGET_ADVISORY, summands=7, workers=2)
 RECORDS = [
     chern(2),
     Partition((2, 1)),
@@ -69,13 +69,21 @@ def test_constructors_check_keyword_arguments_too(build, message):
 
 
 def test_virtual_count_compares_value_flag_and_advisory_only():
-    bare = VirtualCount(Fraction(3), True, PLAIN_TARGET_ADVISORY)
+    bare = VirtualCount(Fraction(3), PLAIN_TARGET_ADVISORY)
     assert COUNT == bare and not COUNT != bare and hash(COUNT) == hash(bare)
     assert {COUNT, bare} == {bare}
-    assert COUNT != VirtualCount(Fraction(4), True, PLAIN_TARGET_ADVISORY, 7, 2)
-    assert COUNT != VirtualCount(Fraction(3), False, PLAIN_TARGET_ADVISORY, 7, 2)
-    assert COUNT != VirtualCount(Fraction(3), True, SEGRE_ADVISORY, 7, 2)
+    assert COUNT != VirtualCount(Fraction(4), PLAIN_TARGET_ADVISORY, 7, 2)
+    assert COUNT != VirtualCount(Fraction(3), SEGRE_ADVISORY, 7, 2)
     assert (COUNT.summands, COUNT.workers, bare.summands, bare.workers) == (7, 2, None, None)
+
+
+def test_a_count_reads_its_integrality_flag_off_its_value():
+    assert VirtualCount._fields == ("value", "advisory", "summands", "workers")
+    assert COUNT.is_integer
+    half = VirtualCount(Fraction(9, 2), PLAIN_TARGET_ADVISORY)
+    assert not half.is_integer and not pickle.loads(pickle.dumps(half)).is_integer
+    with pytest.raises(AttributeError):
+        COUNT.is_integer = False
 
 
 def test_mutable_results_do_not_share_their_defaults():
