@@ -10,7 +10,6 @@ denominator, plus a clearly labeled float approximation.  Exit codes:
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -471,8 +470,9 @@ def _check_fields(req: JobRequest) -> None:
                 raise ValueError(f"{name} is malformed: {value!r}") from None
 
 
-# kind -> command-line text to value; ints and choices come from argparse as is.
-_FROM_TEXT = {"ints": _csv_ints, "insertions": parse_insertions}
+# kind -> command-line text to value; insertions and choices stay text
+# (_request_from_record parses insertions, run() checks a choice).
+_FROM_TEXT = {"int": int, "ints": _csv_ints}
 # kind -> batch JSON value to the field's shape (ints and choices are taken
 # as they are); run() checks the types.
 _FROM_JSON = {
@@ -504,10 +504,46 @@ def _request_from_record(record: object) -> JobRequest:
     return JobRequest(mode=record["mode"], **values)
 
 
-def _request_from_args(args: argparse.Namespace) -> JobRequest:
-    values = {name: _FROM_TEXT.get(FIELDS[name].kind, lambda text: text)(value)
-              for name, value in vars(args).items() if name in FIELDS}
-    return JobRequest(mode=args.command, **values)
+def _read_words(words: Sequence[str], flags: dict[str, str]) -> tuple[dict[str, str], list[str]]:
+    """({name: value text}, the other words) of `--flag value` or `--flag=value`
+    words, the last given winning; `flags` maps each flag taken to its name.
+    An unknown flag, a missing value or an unknown --format is a ValueError."""
+    values, bare, rest = {}, [], iter(words)
+    for word in rest:
+        flag, eq, text = word.partition("=")
+        if not word.startswith("--"):
+            bare.append(word)
+            continue
+        if flag not in flags:
+            raise ValueError(f"unrecognized argument {flag}")
+        if not eq:
+            text = next(rest, "--")
+            if text.startswith("--"):
+                raise ValueError(f"{flag} expects a value")
+        values[flags[flag]] = text
+    if values.get("format", "text") not in ("json", "text"):
+        raise ValueError(f"--format must be json or text, got {values['format']!r}")
+    return values, bare
+
+
+def _request_from_argv(mode: str, words: Sequence[str]) -> tuple[JobRequest, str]:
+    """A mode's words as a batch record, read by `_request_from_record`, and
+    the output format.  A word the mode does not take or a number that is not
+    an integer is a ValueError; run() checks the rest."""
+    flags = {flag: name for name, f in FIELDS.items() if mode in f.modes for flag in f.flags}
+    values, bare = _read_words(words, {**flags, "--format": "format"})
+    if bare:
+        raise ValueError(f"unrecognized arguments: {' '.join(bare)}")
+    fmt = values.pop("format", "text")
+    # One job from the command line may use every CPU; a request built
+    # in code or read from a batch defaults to one worker.
+    record = {"mode": mode, "workers": os.cpu_count() or 1}
+    for name, text in values.items():
+        try:
+            record[name] = _FROM_TEXT.get(FIELDS[name].kind, str)(text)
+        except ValueError:
+            raise ValueError(f"invalid {name} value: {text!r}") from None
+    return _request_from_record(record), fmt
 
 
 # -- batch ------------------------------------------------------------------
@@ -532,31 +568,36 @@ def run_batch(path: str, out=None) -> int:
         return _run_lines(handle, out if out is not None else sys.stdout)
 
 
-# Distinct lines whose encoded records one batch remembers (as text split
-# around its stats); later new lines are evaluated and not stored.  The
-# benchmark's batch-mixed file has 1,373.
+# Distinct lines whose records one batch remembers (as their text, and from
+# a line's first repeat on as that text cut around `stats.seconds`); later
+# new lines are evaluated and not stored.  The benchmark's batch-mixed file
+# has 1,373.
 RECORD_MEMO_SIZE = 4096
 
 
-def _split_stats(text: str, stats: dict) -> tuple[str, dict, str]:
-    """(head, stats, tail) with `head + _encode(stats) + tail == text`, the
-    record's encoding.  Keys are sorted and JSON escapes every quote in a
-    string, so the last `"stats": {...}` is the record's own: the keys after
-    it (tevelev, value) hold only program-made numbers and flags."""
+def _seconds_slot(text: str, stats: dict) -> tuple[str, str]:
+    """(pre, post) with `pre + repr(seconds) + post` the text of a repeat of
+    the record `text`: its `stats`, with `"reused": true` and the repeat's own
+    `seconds`, encoded in place (json writes a float as its repr).  Keys are
+    sorted and JSON escapes every quote in a string, so the last
+    `"stats": {...}` is the record's own: the keys after it (tevelev, value)
+    hold only program-made numbers and flags."""
     head, found, tail = text.rpartition('"stats": ' + _encode(stats))
     assert found, "a record's stats must appear in its encoding"
-    return head + '"stats": ', stats, tail
+    before, _, after = _encode({**stats, "reused": True, "seconds": None}).partition('"seconds": null')
+    return f'{head}"stats": {before}"seconds": ', after + tail
 
 
 def _run_lines(handle, out) -> int:
     """`run_batch` on an open binary file."""
     exits: Counter = Counter()
     agreements = []
-    # stripped line bytes -> (head, stats, tail, exit code, path agreement)
-    # of the first record's text.  Keyed by bytes, not by the parsed
+    # stripped line bytes -> (pre, post, exit code, path agreement): the
+    # first record's text and stats until the line's first repeat, and its
+    # `_seconds_slot` from then on.  Keyed by bytes, not by the parsed
     # request: JobRequest(g=True) == JobRequest(g=1), but only the second
     # passes run()'s type checks.
-    firsts: dict[bytes, tuple[str, dict, str, int, Optional[bool]]] = {}
+    firsts: dict[bytes, tuple[str, object, int, Optional[bool]]] = {}
     reused = 0
     memo_before = vi_engine._certified_count.cache_info()
     for raw in (line for chunk in handle for line in chunk.splitlines()):
@@ -565,10 +606,12 @@ def _run_lines(handle, out) -> int:
         first = firsts.get(key)
         if first is not None:
             # Every part of a record is a function of the line except its
-            # timing, so only the stats are encoded again.
-            head, stats, tail, code, agree = first
-            text = head + _encode({**stats, "reused": True,
-                                   "seconds": round(time.perf_counter() - started, 6)}) + tail
+            # timing, so a repeat is its seconds spliced into stored text.
+            pre, post, code, agree = first
+            if type(post) is dict:  # the line's first repeat
+                pre, post = _seconds_slot(pre, post)
+                firsts[key] = pre, post, code, agree
+            text = pre + repr(round(time.perf_counter() - started, 6)) + post
             reused += 1
         else:
             mode = None  # the record's mode, once the line names a known one
@@ -590,7 +633,7 @@ def _run_lines(handle, out) -> int:
             text = _encode(record)
             agree = record["paths"]["agree"] if "paths" in record else None
             if len(firsts) < RECORD_MEMO_SIZE:
-                firsts[key] = (*_split_stats(text, record["stats"]), code, agree)
+                firsts[key] = text, record["stats"], code, agree
         if agree is not None:
             agreements.append(agree)
         exits[code] += 1
@@ -616,64 +659,61 @@ def _run_lines(handle, out) -> int:
     return max(exits, default=EXIT_OK)
 
 
-# -- argument parsing -------------------------------------------------------
+# -- command line -------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="quotcount",
-        description="Exact virtual counts of curves in Grassmannians and their "
-                    "hypersurface/complete-intersection sections.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for mode in MODES:
-        # An option left out keeps JobRequest's default.
-        p = sub.add_parser(mode, help=f"run a {mode} computation",
-                           argument_default=argparse.SUPPRESS)
-        for name, f in FIELDS.items():
-            if mode in f.modes:
-                options = {"choices": CHOICES[name]} if f.kind == "choice" else {
-                    "type": int if f.kind == "int" else str,
-                    "metavar": f.flags[-1].lstrip("-").upper()}
-                p.add_argument(*f.flags, dest=name, help=f.help, **options)
-        p.add_argument("--format", dest="fmt", choices=("json", "text"), default="text")
-        # One job from the command line may use every CPU; a request built
-        # in code or read from a batch defaults to one worker.
-        p.set_defaults(workers=os.cpu_count() or 1)
-    batch = sub.add_parser("batch", help="run a JSON-lines file of requests")
-    batch.add_argument("file", help="path to the request file")
-    preset = sub.add_parser("preset", help="run or list named example computations")
-    preset.add_argument("name", nargs="?", help="preset to run (omit to list)")
-    preset.add_argument("--all", action="store_true", help="run every preset")
-    preset.add_argument("--format", dest="fmt", choices=("json", "text"), default="text")
-    return parser
+def _usage() -> str:
+    """The help text, read off MODES, FIELDS and CHOICES."""
+    lines = ["usage: quotcount MODE [--flag VALUE | --flag=VALUE ...] [--format {json,text}]",
+             "       quotcount batch FILE",
+             "       quotcount preset [NAME] [--all] [--format {json,text}]",
+             f"modes: {', '.join(MODES)}",
+             "flags (--workers defaults to the CPU count):"]
+    for name, f in FIELDS.items():
+        value = "{%s}" % ",".join(CHOICES[name]) if f.kind == "choice" else f.flags[-1][2:].upper()
+        only = "" if f.modes == MODES else f" ({', '.join(f.modes)} only)"
+        lines.append(f"  {', '.join(f.flags)} {value}".ljust(30) + f"  {f.help}{only}")
+    return "\n".join(lines)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    words = sys.argv[1:] if argv is None else argv
+    if "-h" in words or "--help" in words:
+        print(_usage())
+        return EXIT_OK
+    command, *words = words or [""]
+    if command not in (*MODES, "batch", "preset"):
+        print(f"{_usage()}\nargument error: the first word must be a mode, batch or preset", file=sys.stderr)
+        return EXIT_VALIDATION
+    try:
+        if command == "batch":
+            if len(words) != 1:
+                raise ValueError("batch takes one FILE")
+            handle = open(words[0], "rb")
+        elif command == "preset":
+            values, names = _read_words([w for w in words if w != "--all"], {"--format": "format"})
+            if len(names) > 1 or not PRESETS.keys() >= set(names):
+                raise ValueError(f"unknown preset {' '.join(names)!r}")
+        else:
+            request, fmt = _request_from_argv(command, words)
+    except (ValueError, OSError) as exc:
+        print(f"argument error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
-    if args.command == "batch":
-        try:
-            handle = open(args.file, "rb")
-        except OSError as exc:
-            print(f"argument error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+    if command == "batch":
         with handle:
             return _run_lines(handle, sys.stdout)
 
-    if args.command == "preset":
-        if args.name is None and not args.all:
+    if command == "preset":
+        run_all = "--all" in words
+        if not names and not run_all:
             for name, (about, _, _) in PRESETS.items():
                 print(f"{name}: {about}")
             return EXIT_OK
-        if not args.all and args.name not in PRESETS:
-            print(f"unknown preset {args.name!r}", file=sys.stderr)
-            return EXIT_VALIDATION
         worst = EXIT_OK
-        for name in PRESETS if args.all else [args.name]:
+        for name in PRESETS if run_all else names:
             result, expected, matched = run_preset(name)
             record = {**result.to_dict(), "preset": name, "expected": expected, "matched": matched}
-            if args.fmt == "json":
+            if values.get("format") == "json":
                 print(_encode(record))
             else:
                 shown = record.get("value", {}).get("exact", "error")
@@ -681,14 +721,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             worst = max(worst, _exit_code(result), EXIT_OK if matched else EXIT_INTERNAL)
         return worst
 
-    try:
-        request = _request_from_args(args)
-    except ValueError as exc:
-        print(f"argument error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
     result = run(request)
-    _render(result, args.fmt)
+    _render(result, fmt)
     return _exit_code(result)
 
 

@@ -221,10 +221,15 @@ def closed_form_lg24(g: int, d: int, m1: int, m2: int) -> VirtualCount:
 
 
 class TevelevComparison(NamedTuple):
+    """Q, the fixed-point count it implies and t; the flag is read off the implied count."""
+
     point_count: VirtualCount
     implied_tevelev: Fraction
-    tevelev_is_integer: bool
     t: int
+
+    @property
+    def tevelev_is_integer(self) -> bool:
+        return self.implied_tevelev.denominator == 1
 
 
 def tevelev_compare(g: int, d: int, r: int, l: int, t: Optional[int] = None) -> TevelevComparison:
@@ -250,7 +255,7 @@ def tevelev_compare(g: int, d: int, r: int, l: int, t: Optional[int] = None) -> 
     q_value = _closed_scalar(spec) * (r + 1) ** g / Fraction(l) ** t
     q_count = VirtualCount(q_value, enumerativity_advisor(spec))
     implied = Fraction(factorial(l), l**l) ** t * q_value
-    return TevelevComparison(q_count, implied, implied.denominator == 1, t)
+    return TevelevComparison(q_count, implied, t)
 
 
 def enumerativity_advisor(spec: ProblemSpec) -> Advisory:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import time
 import tracemalloc
 
@@ -16,9 +17,8 @@ from quotcount.cli import (
     EXIT_VALIDATION,
     PRESETS,
     JobRequest,
-    _request_from_args,
+    _request_from_argv,
     _request_from_record,
-    build_parser,
     main,
     parse_insertions,
     run,
@@ -426,15 +426,22 @@ def test_duality_and_oracle_checks_pass_the_worker_bound_on(capsys, monkeypatch)
     assert seen == [3, 3, 3]
 
 
-def test_importing_the_cli_loads_no_dataclasses_inspect_or_pool():
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_pool(tmp_path):
     import subprocess
     import sys
 
-    code = ("import sys, quotcount.cli; print(sorted(set(sys.modules) & "
-            "{'dataclasses', 'inspect', 'concurrent.futures'}))")
+    path = tmp_path / "jobs.jsonl"
+    path.write_text('{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:3"}\n' * 2)
+    # argparse and the gettext it imports cost about 10 ms of every start
+    code = ("import sys, quotcount.cli as cli; "
+            "cli.main(['grassmannian', '--g', '1', '--d', '1', '--r', '2', '--n', '3', '--ins', 'a1:3']); "
+            f"cli.main(['batch', {str(path)!r}]); "
+            "print(sorted(set(sys.modules) & "
+            "{'dataclasses', 'inspect', 'concurrent.futures', 'argparse', 'gettext'}))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert "value = 3" in proc.stdout and '"reused_records": 1' in proc.stdout
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_batch_survives_a_deeply_nested_line(tmp_path):
@@ -526,7 +533,9 @@ def test_presets_parse_alike_from_argv_and_batch_records():
 
     assert {request.mode for _, request, _ in PRESETS.values()} == set(MODES)
     for name, (_, request, _) in PRESETS.items():
-        from_argv = _request_from_args(build_parser().parse_args(_argv(request)))
+        mode, *words = _argv(request)
+        from_argv, fmt = _request_from_argv(mode, words)
+        assert fmt == "text"
         # JSON turns the tuples into lists and None into null
         record = json.loads(json.dumps(request._asdict()))
         ins_record = {key: value for key, value in record.items() if key != "insertions"}
@@ -534,6 +543,87 @@ def test_presets_parse_alike_from_argv_and_batch_records():
         assert from_argv == request, name
         assert _request_from_record(record) == request, name
         assert _request_from_record(ins_record) == request, name
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["grassmannian", "--g", "1", "--help"]])
+def test_help_names_every_mode_and_flag(capsys, argv):
+    from quotcount.cli import FIELDS, MODES
+
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: quotcount") and captured.err == ""
+    words = set(re.findall(r"[\w-]+", captured.out))
+    assert words >= {*MODES, "batch", "preset", "--format", "--all"}
+    assert words >= {flag for field in FIELDS.values() for flag in field.flags}
+
+
+@pytest.mark.parametrize("argv", [[], ["nosuchmode", "--g", "1"]])
+def test_no_command_prints_usage_and_exits_2(capsys, argv):
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: quotcount")
+    assert captured.err.strip().splitlines()[-1].startswith("argument error: ")
+
+
+GRASSMANNIAN_ARGV = ["grassmannian", "--g", "1", "--d", "1", "--r", "2", "--n", "3", "--ins", "a1:3"]
+
+
+@pytest.mark.parametrize("argv", [
+    GRASSMANNIAN_ARGV + ["--bogus", "1"],
+    GRASSMANNIAN_ARGV + ["--variant", "lg24"],  # another mode's flag
+    GRASSMANNIAN_ARGV + ["--work", "1"],  # no abbreviations
+    GRASSMANNIAN_ARGV + ["extra"],
+    ["grassmannian", "--d", "1", "--r", "2", "--n", "3", "--ins", "a1:3", "--g"],
+    ["grassmannian", "--g", "--d", "1", "--r", "2", "--n", "3", "--ins", "a1:3"],
+    ["grassmannian", "--g", "x", "--d", "1", "--r", "2", "--n", "3", "--ins", "a1:3"],
+    ["closed-form", "--g", "0", "--d", "2", "--r", "3", "--l", "2,x"],
+    GRASSMANNIAN_ARGV + ["--ins", "b1:3"],
+    GRASSMANNIAN_ARGV + ["--format", "xml"],
+    ["preset", "--format=xml"],
+    ["preset", "lg24-g1-d2", "another"],
+    ["batch"],
+], ids=" ".join)
+def test_bad_command_line_words_are_argument_errors(capsys, argv):
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("argument error: ") and captured.err.count("\n") == 1
+
+
+def test_flag_spellings_read_alike():
+    spellings = [
+        ["--g", "1", "--d", "2", "--r", "2", "--n", "4", "--l", "1", "--ins", "a1:4,a2:1"],
+        ["--g=1", "--d=2", "--r=2", "--n=4", "--multidegree=1", "--ins=a1:4,a2:1"],
+        ["--n", "4", "--multidegree", "1", "--ins", "a1:4,a2:1", "--r", "2", "--d", "2", "--g", "1"],
+        # the last one given wins
+        ["--g", "0", "--g", "1", "--d", "2", "--r", "2", "--n", "4", "--l", "3", "--multidegree", "1",
+         "--ins", "a1:4,a2:1"],
+    ]
+    requests = {_request_from_argv("hypersurface", words) for words in spellings}
+    assert len(requests) == 1
+    request, fmt = requests.pop()
+    assert fmt == "text" and request == JobRequest(
+        mode="hypersurface", g=1, d=2, r=2, n=4, multidegree=(1,),
+        insertions=(("chern", 1, 4), ("chern", 2, 1)), workers=request.workers)
+    assert request.workers >= 1  # the command line defaults to the CPU count
+    assert _request_from_argv("closed-form", ["--format", "json", "--workers=-3"]) == (
+        JobRequest(mode="closed-form", workers=-3), "json")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["hypersurface", "--g", "1", "--d", "2", "--r", "2", "--n", "4", "--l", "1", "--ins", "a1:4,a2:1",
+      "--path", "bogus"],
+     '{"mode": "hypersurface", "g": 1, "d": 2, "r": 2, "n": 4, "multidegree": [1], '
+     '"ins": "a1:4,a2:1", "path": "bogus"}'),
+    (["closed-form", "--variant", "nonsense", "--g", "0", "--d", "1", "--r", "1", "--l", "2"],
+     '{"mode": "closed-form", "variant": "nonsense", "g": 0, "d": 1, "r": 1, "multidegree": [2]}'),
+], ids=["path", "variant"])
+def test_a_bad_choice_on_the_command_line_is_its_batch_lines_record(tmp_path, capsys, argv, line):
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    _, rows = run_batch_lines(tmp_path, [line])
+    assert code == EXIT_VALIDATION
+    assert without_stats(last_json(out)) == without_stats(rows[0])
+    assert rows[0]["error"]["type"] == "ValueError" and argv[-2][2:] in rows[0]["error"]["message"]
 
 
 def test_batch_tevelev_zero_degree_is_a_validation_error(tmp_path):
@@ -864,6 +954,30 @@ def test_a_repeated_failure_is_the_same_error(tmp_path):
     assert (summary["records"], summary["validation_errors"]) == (6, 6)
     assert summary["stats"]["reused_records"] == 3
     assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("line", [
+    '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:3"}',
+    '{"mode": "tevelev", "g": 1, "d": 2, "r": 5, "multidegree": [2]}',  # keys after stats
+    "not json",  # stats.seconds alone
+    json.dumps({'"stats": {"seconds": 0.0}': 1}),
+], ids=["grassmannian", "tevelev", "not-json", "stats-field"])
+def test_a_repeat_splices_its_rounded_seconds_into_the_first_records_text(tmp_path, monkeypatch, line):
+    from quotcount import cli
+
+    readings = []
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: readings.append(0.0) or 0.0)
+    run_batch_lines(tmp_path, [line])  # the clock readings of a first evaluation
+    durations = [0.0, 1e-7, 3e-6, 0.5]
+    clock = iter(readings + [reading for seconds in durations for reading in (0.0, seconds)])
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: next(clock))
+    code, rows = run_batch_lines(tmp_path, [line] * 5)  # encoded_rows checks every line's bytes
+    assert next(clock, None) is None
+    first = rows[0]
+    assert "reused" not in first["stats"] and rows[-1]["stats"]["reused_records"] == 4
+    for row, seconds in zip(rows[1:5], durations):
+        assert row["stats"] == {**first["stats"], "reused": True, "seconds": round(seconds, 6)}
+        assert without_stats(row) == without_stats(first)
 
 
 def test_a_full_record_memo_evaluates_new_lines_without_storing_them(tmp_path, monkeypatch):

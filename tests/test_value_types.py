@@ -33,7 +33,7 @@ RECORDS = [
     DualityReport(COUNT, COUNT, True),
     ProblemSpec(SPEC, (2,), (chern(1),)),
     BClassWord((1,), (chern(1),)),
-    TevelevComparison(COUNT, Fraction(3, 2), False, 1),
+    TevelevComparison(COUNT, Fraction(3, 2), 1),
     JobRequest(mode="grassmannian", g=1, d=1, r=2, n=3, insertions=(("chern", 1, 3),)),
 ]
 
@@ -84,6 +84,15 @@ def test_a_count_reads_its_integrality_flag_off_its_value():
     assert not half.is_integer and not pickle.loads(pickle.dumps(half)).is_integer
     with pytest.raises(AttributeError):
         COUNT.is_integer = False
+
+
+def test_a_tevelev_comparison_reads_its_integrality_flag_off_its_value():
+    assert TevelevComparison._fields == ("point_count", "implied_tevelev", "t")
+    assert TevelevComparison(COUNT, Fraction(4), 1).tevelev_is_integer
+    half = TevelevComparison(COUNT, Fraction(3, 2), 1)
+    assert not half.tevelev_is_integer and not pickle.loads(pickle.dumps(half)).tevelev_is_integer
+    with pytest.raises(AttributeError):
+        half.tevelev_is_integer = True
 
 
 def test_mutable_results_do_not_share_their_defaults():
