@@ -559,19 +559,18 @@ def run_batch(path: str, out=None) -> int:
     that is not UTF-8 fails alone; CR, LF and CRLF end a line, as in text
     mode.  A line byte-identical to an earlier one (surrounding ASCII
     whitespace aside) is not evaluated again: its record is the first
-    one's text with only `stats` encoded anew, holding `stats.reused`
-    true and `stats.seconds` its own time.  The first `RECORD_MEMO_SIZE`
-    distinct lines are remembered.  Returns the worst exit code of any
-    record.
+    one's text, with `stats.reused` true and its own `stats.seconds`
+    spliced in; no dict is built and nothing is encoded.  The first
+    `RECORD_MEMO_SIZE` distinct lines are remembered.  Returns the worst
+    exit code of any record.
     """
     with open(path, "rb") as handle:
         return _run_lines(handle, out if out is not None else sys.stdout)
 
 
-# Distinct lines whose records one batch remembers (as their text, and from
-# a line's first repeat on as that text cut around `stats.seconds`); later
-# new lines are evaluated and not stored.  The benchmark's batch-mixed file
-# has 1,373.
+# Distinct lines whose records one batch remembers (as their text cut
+# around `stats.seconds`, see _seconds_slot); later new lines are evaluated
+# and not stored.  The benchmark's batch-mixed file has 1,373.
 RECORD_MEMO_SIZE = 4096
 
 
@@ -592,12 +591,11 @@ def _run_lines(handle, out) -> int:
     """`run_batch` on an open binary file."""
     exits: Counter = Counter()
     agreements = []
-    # stripped line bytes -> (pre, post, exit code, path agreement): the
-    # first record's text and stats until the line's first repeat, and its
-    # `_seconds_slot` from then on.  Keyed by bytes, not by the parsed
-    # request: JobRequest(g=True) == JobRequest(g=1), but only the second
-    # passes run()'s type checks.
-    firsts: dict[bytes, tuple[str, object, int, Optional[bool]]] = {}
+    # stripped line bytes -> (pre, post, exit code, path agreement) of the
+    # first record: its text cut around `stats.seconds` (`_seconds_slot`).
+    # Keyed by bytes, not by the parsed request: JobRequest(g=True) ==
+    # JobRequest(g=1), but only the second passes run()'s type checks.
+    firsts: dict[bytes, tuple[str, str, int, Optional[bool]]] = {}
     reused = 0
     memo_before = vi_engine._certified_count.cache_info()
     for raw in (line for chunk in handle for line in chunk.splitlines()):
@@ -608,9 +606,6 @@ def _run_lines(handle, out) -> int:
             # Every part of a record is a function of the line except its
             # timing, so a repeat is its seconds spliced into stored text.
             pre, post, code, agree = first
-            if type(post) is dict:  # the line's first repeat
-                pre, post = _seconds_slot(pre, post)
-                firsts[key] = pre, post, code, agree
             text = pre + repr(round(time.perf_counter() - started, 6)) + post
             reused += 1
         else:
@@ -633,7 +628,9 @@ def _run_lines(handle, out) -> int:
             text = _encode(record)
             agree = record["paths"]["agree"] if "paths" in record else None
             if len(firsts) < RECORD_MEMO_SIZE:
-                firsts[key] = text, record["stats"], code, agree
+                # cut now, not on the first repeat: batch-mixed's median
+                # line is a repeat, and a line's first run is slow anyway
+                firsts[key] = (*_seconds_slot(text, record["stats"]), code, agree)
         if agree is not None:
             agreements.append(agree)
         exits[code] += 1
