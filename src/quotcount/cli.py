@@ -56,32 +56,6 @@ class JobRequest(NamedTuple):
     m2: Optional[int] = None
 
 
-class JobResult:
-    def __init__(self, mode: Optional[str], ok: bool, error: Optional[dict] = None):
-        self.mode = mode  # None on a batch line that is not a request
-        self.ok, self.error = ok, error
-        # run() fills the rest, and builds the value block where a failure is caught
-        self.value = self.is_integer = self.advisory = self.value_fields = None
-        # blocks is the mode's own report: paths, duality, oracle or tevelev
-        self.dims, self.blocks, self.stats = {}, {}, {}
-
-    def to_dict(self) -> dict:
-        out: dict = {"schema": SCHEMA, "mode": self.mode, "ok": self.ok}
-        if self.value_fields is not None:
-            out["value"] = self.value_fields
-            out["is_integer"] = self.is_integer
-        if self.advisory is not None:
-            out["advisory"] = {"status": self.advisory.status.value, "reason": self.advisory.reason}
-        if self.dims:
-            out["dims"] = self.dims
-        out.update(self.blocks)
-        if self.stats:
-            out["stats"] = self.stats
-        if self.error is not None:
-            out["error"] = self.error
-        return out
-
-
 def _value_fields(value: Fraction) -> dict:
     try:
         approx = float(value)
@@ -130,9 +104,10 @@ def parse_insertions(text: str) -> tuple[tuple[str, int, int], ...]:
 
 
 # -- one runner per mode ------------------------------------------------------
-# A runner validates what its mode needs, fills the result's dims, blocks and
-# stats, and returns the count whose value the record reports.  It hands the
-# request's monomial to the counting function, which runs the refusals.
+# A runner validates what its mode needs, writes the record's dims, its mode's
+# report (paths, duality, oracle or tevelev) and stats, and returns the count
+# whose value the record reports.  It hands the request's monomial to the
+# counting function, which runs the refusals.
 
 def _spec(req: JobRequest) -> GrassmannSpec:
     if req.n is None:
@@ -145,34 +120,34 @@ def _plain_dims(spec: GrassmannSpec, monomial: Monomial, **extra) -> dict:
 
 
 def _engine_count(spec: GrassmannSpec, req: JobRequest, monomial: Monomial,
-                  result: JobResult) -> VirtualCount:
+                  stats: dict) -> VirtualCount:
     """The engine's plain integral; its work goes to stats."""
-    result.stats["subsets"] = spec.subset_count
+    stats["subsets"] = spec.subset_count
     count = vi_engine.vi_integral(spec, monomial, req.workers)
-    result.stats.update(summands=count.summands, workers=count.workers)
+    stats.update(summands=count.summands, workers=count.workers)
     return count
 
 
-def _grassmannian(req: JobRequest, monomial: Monomial, result: JobResult) -> VirtualCount:
+def _grassmannian(req: JobRequest, monomial: Monomial, record: dict) -> VirtualCount:
     spec = _spec(req)
-    result.dims = _plain_dims(spec, monomial)
-    return _engine_count(spec, req, monomial, result)
+    record["dims"] = _plain_dims(spec, monomial)
+    return _engine_count(spec, req, monomial, record["stats"])
 
 
-def _section(req: JobRequest, monomial: Monomial, result: JobResult) -> ProblemSpec:
+def _section(req: JobRequest, monomial: Monomial, record: dict) -> ProblemSpec:
     base = _spec(req)
     if not req.multidegree:
         raise ValueError("a section multidegree is required (--l)")
     problem = ProblemSpec(base, req.multidegree, monomial)
-    result.dims = _plain_dims(base, monomial, twisted_dim=problem.twisted_dim)
-    result.stats["subsets"] = base.subset_count
+    record["dims"] = _plain_dims(base, monomial, twisted_dim=problem.twisted_dim)
+    record["stats"]["subsets"] = base.subset_count
     return problem
 
 
-def _hypersurface(req: JobRequest, monomial: Monomial, result: JobResult) -> VirtualCount:
-    closed, phi, agree = twist.hypersurface_both_paths(_section(req, monomial, result), req.workers)
+def _hypersurface(req: JobRequest, monomial: Monomial, record: dict) -> VirtualCount:
+    closed, phi, agree = twist.hypersurface_both_paths(_section(req, monomial, record), req.workers)
     if req.path != "closed":
-        result.blocks["paths"] = {
+        record["paths"] = {
             "closed": _exact_str(closed.value),
             "phi_expansion": _exact_str(phi.value),
             "agree": agree,
@@ -180,11 +155,11 @@ def _hypersurface(req: JobRequest, monomial: Monomial, result: JobResult) -> Vir
     return phi if req.path == "phi" else closed
 
 
-def _complete_intersection(req: JobRequest, monomial: Monomial, result: JobResult) -> VirtualCount:
-    return twist.complete_intersection_integral(_section(req, monomial, result), req.workers)
+def _complete_intersection(req: JobRequest, monomial: Monomial, record: dict) -> VirtualCount:
+    return twist.complete_intersection_integral(_section(req, monomial, record), req.workers)
 
 
-def _closed_form(req: JobRequest, monomial: Monomial, result: JobResult) -> VirtualCount:
+def _closed_form(req: JobRequest, monomial: Monomial, record: dict) -> VirtualCount:
     if req.variant == "lg24":
         if req.m1 is None or req.m2 is None:
             raise ValueError("closed-form lg24 requires --m1 and --m2")
@@ -194,30 +169,30 @@ def _closed_form(req: JobRequest, monomial: Monomial, result: JobResult) -> Virt
     return twist.closed_form_projective(req.g, req.d, req.r, req.multidegree)
 
 
-def _duality_check(req: JobRequest, monomial: Monomial, result: JobResult) -> VirtualCount:
+def _duality_check(req: JobRequest, monomial: Monomial, record: dict) -> VirtualCount:
     spec = _spec(req)
     report = vi_engine.duality_check(spec, monomial, req.workers)
-    result.blocks["duality"] = {
+    record["duality"] = {
         "chern_side": _exact_str(report.chern_side.value),
         "segre_side": _exact_str(report.segre_side.value),
         "equal": report.equal,
     }
-    result.stats["subsets"] = spec.subset_count + spec.dual().subset_count
+    record["stats"]["subsets"] = spec.subset_count + spec.dual().subset_count
     return report.chern_side
 
 
-def _b_reduce(req: JobRequest, monomial: Monomial, result: JobResult) -> VirtualCount:
+def _b_reduce(req: JobRequest, monomial: Monomial, record: dict) -> VirtualCount:
     base = _spec(req)
     count = twist.reduce_b_classes(BClassWord(req.b_pairs, monomial), base, req.workers)
-    result.dims = _plain_dims(base, monomial, pairs=len(req.b_pairs))
+    record["dims"] = _plain_dims(base, monomial, pairs=len(req.b_pairs))
     return count
 
 
-def _tevelev(req: JobRequest, monomial: Monomial, result: JobResult) -> VirtualCount:
+def _tevelev(req: JobRequest, monomial: Monomial, record: dict) -> VirtualCount:
     if len(req.multidegree) != 1:
         raise ValueError("tevelev requires a single section degree (--l)")
     report = twist.tevelev_compare(req.g, req.d, req.r, req.multidegree[0], req.t)
-    result.blocks["tevelev"] = {
+    record["tevelev"] = {
         "point_count": _exact_str(report.point_count.value),
         "implied_tevelev": _exact_str(report.implied_tevelev),
         "tevelev_is_integer": report.tevelev_is_integer,
@@ -226,13 +201,13 @@ def _tevelev(req: JobRequest, monomial: Monomial, result: JobResult) -> VirtualC
     return report.point_count
 
 
-def _oracle_check(req: JobRequest, monomial: Monomial, result: JobResult) -> VirtualCount:
+def _oracle_check(req: JobRequest, monomial: Monomial, record: dict) -> VirtualCount:
     if req.g != 0:
         raise ValueError("the combinatorial oracle is a genus-0 check")
     spec = _spec(req)
-    count = _engine_count(spec, req, monomial, result)
+    count = _engine_count(spec, req, monomial, record["stats"])
     oracle_value = qh_oracle.fixed_domain_count_g0(req.r, spec.n, req.d, monomial)
-    result.blocks["oracle"] = {
+    record["oracle"] = {
         "engine": _exact_str(count.value),
         "oracle": str(oracle_value),
         "equal": count.value == oracle_value,
@@ -253,9 +228,10 @@ RUNNERS = {
 MODES = tuple(RUNNERS)
 
 
-def run(req: JobRequest) -> JobResult:
-    """Validate and dispatch a request; deterministic for every worker count."""
-    result = JobResult(mode=req.mode, ok=True)
+def run(req: JobRequest) -> dict:
+    """Validate and dispatch a request; its result record, which every writer
+    reads, is deterministic for every worker count outside `stats`."""
+    record = {"schema": SCHEMA, "mode": req.mode, "ok": True, "stats": {}}
     started = time.perf_counter()
     try:
         _check_fields(req)
@@ -266,19 +242,19 @@ def run(req: JobRequest) -> JobResult:
         monomial = Monomial((Insertion(kind, i), x) for kind, i, x in req.insertions)
         if req.mode not in MODES:
             raise ValueError(f"unknown mode {req.mode!r}")
-        count = RUNNERS[req.mode](req, monomial, result)
-        # str() refuses a count too long to print with ValueError: a record of its own
-        result.value_fields = _value_fields(count.value)
-        result.value, result.is_integer, result.advisory = (
-            count.value, count.is_integer, count.advisory)
+        count = RUNNERS[req.mode](req, monomial, record)
+        # str() refuses a count too long to print with ValueError: a record of
+        # its own, so the value is built before anything is written
+        value = _value_fields(count.value)
+        record.update(value=value, is_integer=count.is_integer, advisory={
+            "status": count.advisory.status.value, "reason": count.advisory.reason})
     except (*VALIDATION_ERRORS, QuotcountError, ZeroDivisionError) as exc:
         # Any other package error, or an arithmetic fault past validation,
         # is an internal invariant breach, not a bad request.
-        result.ok = False
         code = EXIT_VALIDATION if isinstance(exc, VALIDATION_ERRORS) else EXIT_INTERNAL
-        result.error = _error(exc, code)
-    result.stats["seconds"] = round(time.perf_counter() - started, 6)
-    return result
+        record.update(ok=False, error=_error(exc, code))
+    record["stats"]["seconds"] = round(time.perf_counter() - started, 6)
+    return record
 
 
 # -- presets ----------------------------------------------------------------
@@ -357,34 +333,30 @@ PRESETS: dict[str, tuple[str, JobRequest, str]] = {
 }
 
 
-def run_preset(name: str) -> tuple[JobResult, str, bool]:
+def run_preset(name: str) -> tuple[dict, str, bool]:
     _, request, expected = PRESETS[name]
-    result = run(request)
-    return result, expected, result.value is not None and _exact_str(result.value) == expected
+    record = run(request)
+    return record, expected, record.get("value", {}).get("exact") == expected
 
 
 # -- rendering --------------------------------------------------------------
 
-def _render(result: JobResult, fmt: str, out=None) -> None:
-    out = out if out is not None else sys.stdout
+def _render(record: dict, fmt: str) -> None:
     if fmt == "json":
-        out.write(_encode(result.to_dict()) + "\n")
-        return
-    d = result.to_dict()
-    if not result.ok:
-        out.write(f"{result.mode}: ERROR {d['error']['type']}: {d['error']['message']}\n")
-        return
-    lines = [f"{result.mode}: value = {d['value']['exact']}",
-             f"  advisory: {result.advisory.status.value} ({result.advisory.reason})"]
-    for key in ("dims", *result.blocks):
-        if d.get(key):
-            lines.append(f"  {key}: {_encode(d[key])}")
-    lines.append(f"  stats: {_encode(d['stats'])}")
-    out.write("\n".join(lines) + "\n")
+        print(_encode(record))
+    elif not record["ok"]:
+        print(f"{record['mode']}: ERROR {record['error']['type']}: {record['error']['message']}")
+    else:
+        advisory = record["advisory"]
+        print(f"{record['mode']}: value = {record['value']['exact']}",
+              f"  advisory: {advisory['status']} ({advisory['reason']})",
+              *(f"  {key}: {_encode(record[key])}" for key in
+                ("dims", "paths", "duality", "oracle", "tevelev", "stats") if key in record),
+              sep="\n")
 
 
-def _exit_code(result: JobResult) -> int:
-    return EXIT_OK if result.ok else result.error.get("exit", EXIT_VALIDATION)
+def _exit_code(record: dict) -> int:
+    return EXIT_OK if record["ok"] else record["error"]["exit"]
 
 
 # -- request fields -----------------------------------------------------------
@@ -620,12 +592,13 @@ def _run_lines(handle, out) -> int:
                 request = _request_from_record(parsed)
             except (ValueError, TypeError, KeyError, RecursionError) as exc:
                 # UnicodeDecodeError is a ValueError; RecursionError: a line nested too deeply to parse
-                result = JobResult(mode=mode, ok=False, error=_error(exc, EXIT_VALIDATION))
-                result.stats["seconds"] = round(time.perf_counter() - started, 6)
+                record = {"schema": SCHEMA, "mode": mode, "ok": False, "stats": {},
+                          "error": _error(exc, EXIT_VALIDATION)}
             else:
-                result = run(request)
-            record, code = result.to_dict(), _exit_code(result)
-            text = _encode(record)
+                record = run(request)
+            # the line's whole span, as a repeat's: decoding and reading included
+            record["stats"]["seconds"] = round(time.perf_counter() - started, 6)
+            code, text = _exit_code(record), _encode(record)
             agree = record["paths"]["agree"] if "paths" in record else None
             if len(firsts) < RECORD_MEMO_SIZE:
                 # cut now, not on the first repeat: batch-mixed's median
@@ -708,19 +681,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_OK
         worst = EXIT_OK
         for name in PRESETS if run_all else names:
-            result, expected, matched = run_preset(name)
-            record = {**result.to_dict(), "preset": name, "expected": expected, "matched": matched}
+            record, expected, matched = run_preset(name)
+            record.update(preset=name, expected=expected, matched=matched)
             if values.get("format") == "json":
                 print(_encode(record))
             else:
                 shown = record.get("value", {}).get("exact", "error")
                 print(f"{name}: value={shown} expected={expected} matched={matched}")
-            worst = max(worst, _exit_code(result), EXIT_OK if matched else EXIT_INTERNAL)
+            worst = max(worst, _exit_code(record), EXIT_OK if matched else EXIT_INTERNAL)
         return worst
 
-    result = run(request)
-    _render(result, fmt)
-    return _exit_code(result)
+    record = run(request)
+    _render(record, fmt)
+    return _exit_code(record)
 
 
 if __name__ == "__main__":

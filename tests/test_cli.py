@@ -366,7 +366,7 @@ def test_a_malformed_batch_field_is_a_value_error_that_names_it(tmp_path, field,
     JobRequest(mode="hypersurface", g=2, d=1, r=2, n=4, multidegree=(1,)),
 ], ids=lambda request_: f"g{request_.g}d{request_.d}l{request_.multidegree}")
 def test_the_hypersurface_paths_differ_only_in_value_and_paths_block(request_):
-    records = {path: run(request_._replace(path=path)).to_dict() for path in ("closed", "phi", "both")}
+    records = {path: run(request_._replace(path=path)) for path in ("closed", "phi", "both")}
     for record in records.values():
         record.pop("stats")
     if records["closed"]["ok"]:
@@ -384,8 +384,7 @@ def test_run_refuses_unknown_path_and_variant_from_code():
         JobRequest(mode="closed-form", g=0, d=1, r=1, multidegree=(2,), variant="nonsense"),
     ]
     for request, name in zip(requests, ("path", "variant")):
-        result = run(request)
-        record = result.to_dict()
+        record = run(request)
         assert record["ok"] is False and "value" not in record and "paths" not in record
         assert record["error"]["type"] == "ValueError" and name in record["error"]["message"]
         assert record["error"]["exit"] == EXIT_VALIDATION
@@ -400,11 +399,11 @@ def test_run_refuses_mistyped_fields_from_code():
         (dict(insertions=(("chern", 1),)), "insertions is malformed"),
     ]
     for change, word in cases:
-        record = run(JobRequest(**{**base, **change})).to_dict()
+        record = run(JobRequest(**{**base, **change}))
         assert record["ok"] is False and "value" not in record, change
         assert record["error"]["type"] == "ValueError" and word in record["error"]["message"], change
         assert record["error"]["exit"] == EXIT_VALIDATION
-    assert run(JobRequest(**base)).value == 3
+    assert run(JobRequest(**base))["value"]["exact"] == "3"
 
 
 def test_duality_and_oracle_checks_pass_the_worker_bound_on(capsys, monkeypatch):
@@ -545,6 +544,72 @@ def test_presets_parse_alike_from_argv_and_batch_records():
         assert _request_from_record(ins_record) == request, name
 
 
+def test_every_writer_writes_the_same_record(tmp_path, capsys):
+    for name, (_, request, expected) in PRESETS.items():
+        assert main([*_argv(request), "--format", "json"]) == EXIT_OK
+        single = last_json(capsys.readouterr().out)
+        code, rows = run_batch_lines(tmp_path, [json.dumps(request._asdict())])
+        assert code == EXIT_OK
+        assert main(["preset", name, "--format", "json"]) == EXIT_OK
+        preset = last_json(capsys.readouterr().out)
+        assert (preset.pop("preset"), preset.pop("expected"), preset.pop("matched")) == (name, expected, True)
+        assert without_stats(single) == without_stats(rows[0]) == without_stats(preset), name
+
+
+GRASSMANN_ADVISORY = ("enumerative-if-weakly-convex (Grassmannian target: virtual counts agree with "
+                      "actual map counts for all sufficiently large d (classical weak convexity of "
+                      "the Grassmannian))")
+SECTION_ADVISORY = ("enumerative-if-weakly-convex (conditional on weak convexity of the section and "
+                    "on d being sufficiently large; neither hypothesis can be checked numerically)")
+TEXT_RECORDS = {
+    "p2-elliptic-3pt": ["grassmannian: value = 3", GRASSMANN_ADVISORY,
+                        'dims: {"insertion_degree": 3, "virtual_dim": 3}'],
+    "g24-euler": ["grassmannian: value = 6", GRASSMANN_ADVISORY,
+                  'dims: {"insertion_degree": 0, "virtual_dim": 0}'],
+    "g24-lines-8pt": ["oracle-check: value = 8", GRASSMANN_ADVISORY,
+                      'oracle: {"engine": "8", "equal": true, "oracle": "8"}'],
+    "lg24-g1-d2": ["hypersurface: value = 24", SECTION_ADVISORY,
+                   'dims: {"insertion_degree": 6, "twisted_dim": 6, "virtual_dim": 8}',
+                   'paths: {"agree": true, "closed": "24", "phi_expansion": "24"}'],
+    "lg24-g0-d1-hyperplanes": ["closed-form: value = 8", SECTION_ADVISORY],
+    "lg24-g0-d1-points": ["closed-form: value = 1", SECTION_ADVISORY],
+    "p3-quadric-g0-d2": ["hypersurface: value = 32", SECTION_ADVISORY,
+                         'dims: {"insertion_degree": 6, "twisted_dim": 6, "virtual_dim": 11}',
+                         'paths: {"agree": true, "closed": "32", "phi_expansion": "32"}'],
+    "p4-ci22-g0-d1": ["complete-intersection: value = 64", SECTION_ADVISORY,
+                      'dims: {"insertion_degree": 3, "twisted_dim": 3, "virtual_dim": 9}'],
+    "p2-duality-g1-d1": ["duality-check: value = 3", GRASSMANN_ADVISORY,
+                         'duality: {"chern_side": "3", "equal": true, "segre_side": "3"}'],
+    "breduce-elliptic": ["b-reduce: value = 1",
+                         "virtual-only (odd-cohomology insertions carry no enumerativity statement)",
+                         'dims: {"insertion_degree": 2, "pairs": 1, "virtual_dim": 3}'],
+    "tevelev-p5-quadric": ["tevelev: value = 16", SECTION_ADVISORY,
+                           'tevelev: {"implied_tevelev": "4", "point_count": "16", "t": 2, '
+                           '"tevelev_is_integer": true}'],
+}
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_the_text_format_of_each_preset(capsys, name):
+    value, advisory, *blocks = TEXT_RECORDS[name]
+    assert main([*_argv(PRESETS[name][1]), "--format", "text"]) == EXIT_OK
+    *lines, stats = capsys.readouterr().out.splitlines()
+    assert lines == [value, f"  advisory: {advisory}", *(f"  {block}" for block in blocks)]
+    assert stats.startswith("  stats: {")
+
+
+def test_the_text_format_of_a_refusal(capsys):
+    # the record carries dims, but a refusal prints its error line only
+    argv = ["hypersurface", "--g", "1", "--d", "2", "--r", "2", "--n", "4", "--l", "1",
+            "--ins", "a1:5", "--path", "both", "--workers", "1"]
+    assert main([*argv, "--format", "json"]) == EXIT_VALIDATION
+    assert "dims" in last_json(capsys.readouterr().out)
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().out.splitlines() == [
+        "hypersurface: ERROR DimensionMismatchError: twisted virtual dimension is 6, "
+        "but the insertion degree is 5"]
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["grassmannian", "--g", "1", "--help"]])
 def test_help_names_every_mode_and_flag(capsys, argv):
     from quotcount.cli import FIELDS, MODES
@@ -647,10 +712,10 @@ def test_division_by_zero_past_validation_is_internal(monkeypatch):
         raise ZeroDivisionError("Fraction(1, 0)")
 
     monkeypatch.setattr(twist, "closed_form_lg24", broken)
-    result = run(JobRequest(mode="closed-form", variant="lg24", g=0, d=1, m1=6, m2=0))
-    assert result.ok is False
-    assert result.error["type"] == "ZeroDivisionError"
-    assert result.error["exit"] == EXIT_INTERNAL
+    record = run(JobRequest(mode="closed-form", variant="lg24", g=0, d=1, m1=6, m2=0))
+    assert record["ok"] is False
+    assert record["error"]["type"] == "ZeroDivisionError"
+    assert record["error"]["exit"] == EXIT_INTERNAL
 
 
 small_values = st.one_of(
@@ -773,9 +838,9 @@ def test_console_entry_point_runs():
 
 def test_presets_all_reproduce_expected_values():
     for name in PRESETS:
-        result, expected, matched = run_preset(name)
-        assert result.ok, (name, result.error)
-        assert matched, (name, expected, result.value)
+        record, expected, matched = run_preset(name)
+        assert record["ok"], (name, record.get("error"))
+        assert matched, (name, expected, record["value"])
 
 
 def test_preset_cli_list_and_run(capsys):
@@ -794,9 +859,9 @@ def test_unknown_preset(capsys):
 
 
 def test_run_request_directly():
-    result = run(JobRequest(mode="grassmannian", g=0, d=0, r=2, n=4,
+    record = run(JobRequest(mode="grassmannian", g=0, d=0, r=2, n=4,
                             insertions=(("chern", 1, 4),)))
-    assert result.ok and result.value == 2
+    assert record["ok"] and record["value"]["exact"] == "2"
 
 
 # a_1^5000000 would be a 40 MB insertion tuple; an exponent of 10^9 would ask
@@ -834,7 +899,7 @@ HUGE = (("chern", 1, 5_000_000),)
 def test_a_huge_exponent_is_refused_before_it_is_expanded(request_, error, message):
     tracemalloc.start()
     try:
-        record = run(request_._replace(insertions=request_.insertions or HUGE)).to_dict()
+        record = run(request_._replace(insertions=request_.insertions or HUGE))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -978,6 +1043,27 @@ def test_a_repeat_splices_its_rounded_seconds_into_the_first_records_text(tmp_pa
     for row, seconds in zip(rows[1:5], durations):
         assert row["stats"] == {**first["stats"], "reused": True, "seconds": round(seconds, 6)}
         assert without_stats(row) == without_stats(first)
+
+
+def test_a_batch_record_times_its_whole_line(tmp_path, monkeypatch):
+    from quotcount import cli
+
+    clock = [100.0]
+    read = cli._request_from_record
+
+    def slow_read(record):
+        clock[0] += 0.25
+        return read(record)
+
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: clock[0])
+    monkeypatch.setattr(cli, "_request_from_record", slow_read)
+    good = '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:3"}'
+    code, rows = run_batch_lines(tmp_path, [good, '{"mode": "nosuchmode"}', good])
+    assert code == EXIT_VALIDATION
+    # reading the request is inside an evaluated line's span, refused or not;
+    # a repeat reads nothing
+    assert [row["ok"] for row in rows[:3]] == [True, False, True]
+    assert [row["stats"]["seconds"] for row in rows[:3]] == [0.25, 0.25, 0.0]
 
 
 def test_a_full_record_memo_evaluates_new_lines_without_storing_them(tmp_path, monkeypatch):

@@ -278,7 +278,7 @@ def test_b_class_rank_refusal_runs_once_whatever_the_pairs(monkeypatch, pairs, i
         assert reduce_b_classes(BClassWord(pairs, monomial(*ins)), base).value == value
     assert len(calls) == 1
     record = run(JobRequest(mode="b-reduce", g=1, d=3, r=2, n=3, b_pairs=pairs,
-                            insertions=tuple(("chern", i.index, x) for i, x in ins))).to_dict()
+                            insertions=tuple(("chern", i.index, x) for i, x in ins)))
     if value is None:
         assert record["error"] == {"exit": EXIT_VALIDATION, "type": "ValueError",
                                    "message": "Chern insertion index 3 exceeds rank 2"}

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from quotcount.cli import JobRequest, JobResult
+from quotcount.cli import JobRequest, run
 from quotcount.qh_oracle import Partition, QClass
 from quotcount.symfunc import Insertion, chern, segre
 from quotcount.twist import BClassWord, ProblemSpec, TevelevComparison
@@ -96,12 +96,15 @@ def test_a_tevelev_comparison_reads_its_integrality_flag_off_its_value():
 
 
 def test_mutable_results_do_not_share_their_defaults():
-    first, second = JobResult("grassmannian", True), JobResult("grassmannian", True)
-    first.stats["seconds"] = 1.0
-    first.dims["virtual_dim"] = 3
-    first.blocks["oracle"] = {}
-    first.value = Fraction(3)
-    assert (second.stats, second.dims, second.blocks, second.value) == ({}, {}, {}, None)
+    request = JobRequest(mode="grassmannian", g=1, d=1, r=2, n=3, insertions=(("chern", 1, 3),))
+    first, second = run(request), run(request)
+    stats, dims = dict(second["stats"]), dict(second["dims"])
+    first["stats"]["seconds"] = -1.0
+    first["stats"]["subsets"] = 0
+    first["dims"]["virtual_dim"] = 0
+    first["oracle"] = {}
+    assert (second["stats"], second["dims"]) == (stats, dims)
+    assert "oracle" not in second and second["value"]["exact"] == "3"
     a, b = QClass(2, 4), QClass(2, 4)
     a.terms[((), 0)] = 1
     assert b.terms == {}

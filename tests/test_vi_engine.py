@@ -307,11 +307,11 @@ def test_the_certificate_refuses_a_wrong_sum(monkeypatch, spec, ins, value):
     monkeypatch.setattr(vi_engine, "balanced_digits", off_by_one)
     with pytest.raises(NonIntegralError, match=f"non-integral: {value}$"):
         vi_integral(spec, ins)
-    result = run(JobRequest(mode="grassmannian", g=spec.g, d=spec.d, r=spec.r, n=spec.n,
+    record = run(JobRequest(mode="grassmannian", g=spec.g, d=spec.d, r=spec.r, n=spec.n,
                             insertions=(("chern", 1, len(ins)),)))
-    assert result.ok is False
-    assert result.error["type"] == "NonIntegralError"
-    assert result.error["exit"] == EXIT_INTERNAL
+    assert record["ok"] is False
+    assert record["error"]["type"] == "NonIntegralError"
+    assert record["error"]["exit"] == EXIT_INTERNAL
 
 
 # -- the count memo ------------------------------------------------------------
