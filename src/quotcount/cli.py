@@ -119,19 +119,11 @@ def _plain_dims(spec: GrassmannSpec, monomial: Monomial, **extra) -> dict:
     return {"virtual_dim": spec.virtual_dim, **extra, "insertion_degree": monomial.degree}
 
 
-def _engine_count(spec: GrassmannSpec, req: JobRequest, monomial: Monomial,
-                  stats: dict) -> VirtualCount:
-    """The engine's plain integral; its work goes to stats."""
-    stats["subsets"] = spec.subset_count
-    count = vi_engine.vi_integral(spec, monomial, req.workers)
-    stats.update(summands=count.summands, workers=count.workers)
-    return count
-
-
 def _grassmannian(req: JobRequest, monomial: Monomial, record: dict) -> VirtualCount:
     spec = _spec(req)
     record["dims"] = _plain_dims(spec, monomial)
-    return _engine_count(spec, req, monomial, record["stats"])
+    record["stats"]["subsets"] = spec.subset_count
+    return vi_engine.vi_integral(spec, monomial, req.workers, record["stats"])
 
 
 def _section(req: JobRequest, monomial: Monomial, record: dict) -> ProblemSpec:
@@ -205,7 +197,8 @@ def _oracle_check(req: JobRequest, monomial: Monomial, record: dict) -> VirtualC
     if req.g != 0:
         raise ValueError("the combinatorial oracle is a genus-0 check")
     spec = _spec(req)
-    count = _engine_count(spec, req, monomial, record["stats"])
+    record["stats"]["subsets"] = spec.subset_count
+    count = vi_engine.vi_integral(spec, monomial, req.workers, record["stats"])
     oracle_value = qh_oracle.fixed_domain_count_g0(req.r, spec.n, req.d, monomial)
     record["oracle"] = {
         "engine": _exact_str(count.value),

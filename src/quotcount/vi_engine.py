@@ -59,12 +59,12 @@ never reaches the memo and a refusal is never stored.  The memo
 (`_certified_count`, an lru_cache of MEMO_SIZE entries) is keyed by the
 spec, the sorted (index, exponent) pairs of the Chern and of the Segre
 insertions, and the process count the call would use; it stores the
-certified VirtualCount, statistics included, so a hit returns exactly
-what evaluating the call again would.  The section counts, the odd-class
-reduction, the duality check and the oracle check all reach the engine
-through `vi_integral` and share it.  A batch of small jobs asks for the
-same few plain integrals over and over: the benchmark's batch-mixed file
-(seed 1) asks for 2,236 sums, 699 of them distinct.
+certified VirtualCount.  The call's statistics go into the caller's `stats`
+before the lookup, so a hit reports what evaluating it again would.  The
+section counts, the odd-class reduction, the duality check and the oracle
+check all reach the engine through `vi_integral` and share it.  A batch of
+small jobs asks for the same few plain integrals over and over: the
+benchmark's batch-mixed file (seed 1) asks for 2,236 sums, 699 distinct.
 """
 
 from __future__ import annotations
@@ -109,16 +109,10 @@ SEGRE_ADVISORY = Advisory(
 
 class VirtualCount(NamedTuple):
     """An exact virtual count: value and advisory, with `is_integer` read
-    off the value.
-
-    Equality and hashing see value and advisory only: `summands` (one per
-    affine orbit) and `workers` (processes used) are statistics of the run.
-    """
+    off the value."""
 
     value: Fraction
     advisory: Advisory
-    summands: Optional[int] = None
-    workers: Optional[int] = None
 
     @property
     def is_integer(self) -> bool:
@@ -127,25 +121,12 @@ class VirtualCount(NamedTuple):
     def as_integer(self) -> int:
         return int(certified(self.value, self.advisory).value)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VirtualCount):
-            return NotImplemented
-        return self[:2] == other[:2]
 
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash(self[:2])
-
-
-def certified(
-    value: Fraction, advisory: Advisory, summands: Optional[int] = None, workers: Optional[int] = None,
-) -> VirtualCount:
+def certified(value: Fraction, advisory: Advisory) -> VirtualCount:
     """`value` as a count certified to be an integer; NonIntegralError if it is not."""
     if value.denominator != 1:
         raise NonIntegralError(f"count came out non-integral: {value}")
-    return VirtualCount(value, advisory, summands, workers)
+    return VirtualCount(value, advisory)
 
 
 class GrassmannSpec(NamedTuple("GrassmannSpec", [("r", int), ("n", int), ("g", int), ("d", int)])):
@@ -366,15 +347,12 @@ def _sign(spec: GrassmannSpec) -> int:
     return -1 if (spec.d * (spec.r - 1)) % 2 else 1
 
 
-def _finalize(
-    spec: GrassmannSpec, total: Fraction, segres: Sequence[tuple[int, int]],
-    summands: Optional[int] = None, workers: Optional[int] = None,
-) -> VirtualCount:
+def _finalize(spec: GrassmannSpec, total: Fraction, segres: Sequence[tuple[int, int]]) -> VirtualCount:
     """Sign the subset sum `total` and certify it as an integer: on the engine
     path, that phi(n) * [n^r at genus 0] divides the trace sum.  `segres`
     are the grouped Segre exponents; any at all make the count virtual only."""
     advisory = SEGRE_ADVISORY if segres else PLAIN_TARGET_ADVISORY
-    return certified(total * _sign(spec), advisory, summands, workers)
+    return certified(total * _sign(spec), advisory)
 
 
 def j_factor(spec: GrassmannSpec, index: SubsetIndex) -> Cyc:
@@ -519,10 +497,8 @@ def balanced_digits(x: int, width: int, n: int) -> tuple[int, ...]:
     return tuple(((y >> (width * k)) & mask) - half for k in range(n))
 
 
-def _folded_total(
-    spec: GrassmannSpec, cherns, segres, workers: int
-) -> tuple[tuple[int, ...], int]:
-    """The coefficients of S (times n^r at genus 0) and the number of summands.
+def _folded_total(spec: GrassmannSpec, cherns, segres, workers: int) -> tuple[int, ...]:
+    """The coefficients of S (times n^r at genus 0).
 
     S = sum of orbit size * summand(representative) over the affine orbits
     is evaluated packed (`_packed_sum`), split across `workers` processes
@@ -546,7 +522,7 @@ def _folded_total(
         raise QuotcountError(
             f"packed sum of {spec} has a coefficient above its proven bound {bound}"
         )
-    return coeffs, len(reps)
+    return coeffs
 
 
 @lru_cache(maxsize=64)
@@ -580,21 +556,26 @@ def pool_size(workers: int, summands: int, cpus: int) -> int:
 
 
 # Entries of `_certified_count`.  The 699 entries batch-mixed leaves hold
-# 409 KB (tracemalloc, freed by cache_clear), about 600 bytes each, so a full
-# memo of small counts takes about 2.4 MB.
+# 383 KiB (tracemalloc started after a gc.collect(), freed by cache_clear),
+# about 560 bytes each, so a full memo of small counts takes about 2.3 MB.
 MEMO_SIZE = 4096
 
 
 def vi_integral(
     spec: GrassmannSpec, insertions: Monomial | Iterable[Insertion], workers: int = 1,
+    stats: Optional[dict] = None,
 ) -> VirtualCount:
-    """The counting sum over all C(n, r) root subsets, on at most `workers` processes."""
+    """The counting sum over all C(n, r) root subsets, on at most `workers`
+    processes; `summands` (affine orbits) and `workers` (used) go to `stats`."""
     if workers < 1:
         raise ValueError("workers must be a positive integer")
     monomial = _validate(spec, insertions)
     affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    used = pool_size(workers, len(affine_orbits(spec.n, spec.r)), cpus)
+    summands = len(affine_orbits(spec.n, spec.r))
+    used = pool_size(workers, summands, cpus)
+    if stats is not None:
+        stats.update(summands=summands, workers=used)
     return _certified_count(spec, monomial.cherns, monomial.segres, used)
 
 
@@ -603,11 +584,11 @@ def _certified_count(spec: GrassmannSpec, cherns, segres, used: int) -> VirtualC
     """The certified count of a validated request on `used` processes; an
     exception (a failed certificate, a coefficient above its bound) is
     raised, never stored."""
-    coeffs, summands = _folded_total(spec, cherns, segres, used)
+    coeffs = _folded_total(spec, cherns, segres, used)
     traces = _ramanujan(spec.n)
     scale = traces[0] * (spec.n ** spec.r if spec.g == 0 else 1)  # phi(n) * [n^r at genus 0]
     total = Fraction(sum(map(mul, coeffs, traces)), scale)
-    return _finalize(spec, total, segres, summands, used)
+    return _finalize(spec, total, segres)
 
 
 def vi_integral_orbit_reduced(
@@ -642,7 +623,10 @@ def vi_integral_parallel(
 class DualityReport(NamedTuple):
     chern_side: VirtualCount
     segre_side: VirtualCount
-    equal: bool
+
+    @property
+    def equal(self) -> bool:
+        return self.chern_side.value == self.segre_side.value
 
 
 def duality_check(
@@ -664,4 +648,4 @@ def duality_check(
     lhs = vi_integral(spec, monomial, workers)
     mirrored = Monomial((Insertion(SEGRE, i), x) for i, x in monomial.cherns)
     rhs = vi_integral(spec.dual(), mirrored, workers)
-    return DualityReport(lhs, rhs, lhs.value == rhs.value)
+    return DualityReport(lhs, rhs)

@@ -412,9 +412,9 @@ def test_duality_and_oracle_checks_pass_the_worker_bound_on(capsys, monkeypatch)
     seen = []
     original = vi_engine.vi_integral
 
-    def spy(spec, insertions, workers=1):
+    def spy(spec, insertions, workers=1, stats=None):
         seen.append(workers)
-        return original(spec, insertions, workers)
+        return original(spec, insertions, workers, stats)
 
     monkeypatch.setattr(vi_engine, "vi_integral", spy)
     for mode, g in (("duality-check", 1), ("oracle-check", 0)):

@@ -22,7 +22,7 @@ from quotcount.vi_engine import (
 )
 
 SPEC = GrassmannSpec(2, 4, 1, 1)
-COUNT = VirtualCount(Fraction(3), PLAIN_TARGET_ADVISORY, summands=7, workers=2)
+COUNT = VirtualCount(Fraction(3), PLAIN_TARGET_ADVISORY)
 RECORDS = [
     chern(2),
     Partition((2, 1)),
@@ -30,7 +30,7 @@ RECORDS = [
     COUNT,
     SPEC,
     SubsetIndex((0, 2)),
-    DualityReport(COUNT, COUNT, True),
+    DualityReport(COUNT, COUNT),
     ProblemSpec(SPEC, (2,), (chern(1),)),
     BClassWord((1,), (chern(1),)),
     TevelevComparison(COUNT, Fraction(3, 2), 1),
@@ -45,6 +45,8 @@ def test_records_are_frozen_hash_by_value_and_pickle(record):
         setattr(record, name, getattr(record, name))
     with pytest.raises(AttributeError):
         record.extra = 1
+    # the tuple's own equality and hash: a record compares all of its fields
+    assert type(record).__eq__ is tuple.__eq__ and type(record).__hash__ is tuple.__hash__
     rebuilt = type(record)(*record)
     assert rebuilt == record and hash(rebuilt) == hash(record)
     copy = pickle.loads(pickle.dumps(record))
@@ -69,16 +71,15 @@ def test_constructors_check_keyword_arguments_too(build, message):
 
 
 def test_virtual_count_compares_value_flag_and_advisory_only():
-    bare = VirtualCount(Fraction(3), PLAIN_TARGET_ADVISORY)
-    assert COUNT == bare and not COUNT != bare and hash(COUNT) == hash(bare)
-    assert {COUNT, bare} == {bare}
-    assert COUNT != VirtualCount(Fraction(4), PLAIN_TARGET_ADVISORY, 7, 2)
-    assert COUNT != VirtualCount(Fraction(3), SEGRE_ADVISORY, 7, 2)
-    assert (COUNT.summands, COUNT.workers, bare.summands, bare.workers) == (7, 2, None, None)
+    same = VirtualCount(Fraction(3), PLAIN_TARGET_ADVISORY)
+    assert COUNT == same and not COUNT != same and hash(COUNT) == hash(same)
+    assert {COUNT, same} == {same}
+    assert COUNT != VirtualCount(Fraction(4), PLAIN_TARGET_ADVISORY)
+    assert COUNT != VirtualCount(Fraction(3), SEGRE_ADVISORY)
 
 
 def test_a_count_reads_its_integrality_flag_off_its_value():
-    assert VirtualCount._fields == ("value", "advisory", "summands", "workers")
+    assert VirtualCount._fields == ("value", "advisory")
     assert COUNT.is_integer
     half = VirtualCount(Fraction(9, 2), PLAIN_TARGET_ADVISORY)
     assert not half.is_integer and not pickle.loads(pickle.dumps(half)).is_integer
@@ -93,6 +94,17 @@ def test_a_tevelev_comparison_reads_its_integrality_flag_off_its_value():
     assert not half.tevelev_is_integer and not pickle.loads(pickle.dumps(half)).tevelev_is_integer
     with pytest.raises(AttributeError):
         half.tevelev_is_integer = True
+
+
+def test_a_duality_report_reads_equal_off_its_two_sides():
+    assert DualityReport._fields == ("chern_side", "segre_side")
+    assert DualityReport(COUNT, VirtualCount(Fraction(3), SEGRE_ADVISORY)).equal
+    apart = DualityReport(COUNT, VirtualCount(Fraction(4), SEGRE_ADVISORY))
+    assert not apart.equal and not pickle.loads(pickle.dumps(apart)).equal
+    with pytest.raises(TypeError):
+        DualityReport(COUNT, apart.segre_side, True)
+    with pytest.raises(AttributeError):
+        apart.equal = True
 
 
 def test_mutable_results_do_not_share_their_defaults():

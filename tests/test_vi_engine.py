@@ -139,15 +139,17 @@ def plain_total(spec, ins):
 def galois_average(spec, ins, workers):
     """The engine's decoded S averaged over sigma_u for the units u of Z/n,
     over n^r at genus 0: the full subset sum as a ring element, with the
-    number of summands S took."""
-    coeffs, summands = _folded_total(spec, *grouped(ins), workers)
+    number of summands the engine reports for the request."""
+    coeffs = _folded_total(spec, *grouped(ins), workers)
     n = spec.n
     weighted = Cyc(n, coeffs)
     units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
     total = zero(n)
     for u in units:
         total = total + galois(weighted, u)
-    return total.scale(Fraction(1, len(units) * (n ** spec.r if spec.g == 0 else 1))), summands
+    stats = {}
+    vi_integral(spec, ins, stats=stats)
+    return total.scale(Fraction(1, len(units) * (n ** spec.r if spec.g == 0 else 1))), stats["summands"]
 
 
 def test_folded_total_equals_plain_subset_sum_in_the_ring():
@@ -326,13 +328,14 @@ def test_a_memoised_count_is_the_recomputed_count(case):
     spec, ins = case
     memo.cache_clear()
     first = vi_integral(spec, ins)
-    hit = vi_integral(spec, ins)
+    hit_stats = {}
+    hit = vi_integral(spec, ins, stats=hit_stats)
     assert hit is first and memo.cache_info().hits == 1
     memo.cache_clear()
-    again = vi_integral(spec, ins)
-    # VirtualCount equality sees 3 fields; the memo must keep all 5.
-    assert tuple(hit) == tuple(again)
-    assert again.summands == len(affine_orbits(spec.n, spec.r)) and again.workers == 1
+    again_stats = {}
+    again = vi_integral(spec, ins, stats=again_stats)
+    assert hit == again and hit_stats == again_stats
+    assert again_stats == {"summands": len(affine_orbits(spec.n, spec.r)), "workers": 1}
 
 
 def test_a_refusal_is_never_stored_and_never_read():
@@ -371,8 +374,26 @@ def test_summands_reported_per_affine_orbit():
     # G(5,20): 15504 subsets, 776 rotation orbits, 120 affine orbits.
     assert len(necklaces(20, 5)) == 776
     assert len(affine_orbits(20, 5)) == 120
-    count = vi_integral(GrassmannSpec(2, 4, 0, 1), hyperplanes(8))
-    assert count.summands == len(affine_orbits(4, 2)) == 2
+    stats = {}
+    vi_integral(GrassmannSpec(2, 4, 0, 1), hyperplanes(8), stats=stats)
+    assert stats["summands"] == len(affine_orbits(4, 2)) == 2
+
+
+def test_the_engine_writes_its_statistics_on_a_miss_and_a_hit_alike():
+    spec, ins = GrassmannSpec(2, 6, 1, 1), hyperplanes(6)
+    expected = {"summands": len(affine_orbits(6, 2)), "workers": 1}
+    memo.cache_clear()
+    for hits in (0, 1):
+        stats = {}
+        count = vi_integral(spec, ins, stats=stats)
+        assert memo.cache_info().hits == hits and stats == expected
+    assert vi_integral(spec, ins) == count
+    # a request _validate refuses, for its degree or its rank, writes nothing
+    for refused, error in ((spec, DimensionMismatchError), (GrassmannSpec(1, 6, 1, 2), ValueError)):
+        stats = {}
+        with pytest.raises(error):
+            vi_integral(refused, monomial((chern(2), 6)), stats=stats)
+        assert stats == {}
 
 
 # -- spec and subset types ---------------------------------------------------
@@ -720,9 +741,10 @@ def test_small_sum_with_many_workers_starts_no_process(monkeypatch):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    count = vi_integral(GrassmannSpec(5, 20, 1, 1), hyperplanes(20), 8)
+    stats = {}
+    count = vi_integral(GrassmannSpec(5, 20, 1, 1), hyperplanes(20), 8, stats)
     assert count.value == 275923203690000
-    assert (count.summands, count.workers) == (120, 1)
+    assert stats == {"summands": 120, "workers": 1}
 
 
 def test_engine_caps_workers_at_the_cpus_it_may_use(monkeypatch):
@@ -731,16 +753,21 @@ def test_engine_caps_workers_at_the_cpus_it_may_use(monkeypatch):
     monkeypatch.setattr(vi_engine, "SUMMANDS_PER_WORKER", SUMMANDS_PER_WORKER)
     spec, ins = GrassmannSpec(5, 24, 1, 1), hyperplanes(24)
     assert len(affine_orbits(24, 5)) // SUMMANDS_PER_WORKER == 2
-    serial = vi_integral(spec, ins)
-    assert serial.workers == 1
+
+    def used(workers):
+        stats = {}
+        count = vi_integral(spec, ins, workers, stats)
+        return stats["workers"], count.value
+
+    serial = used(1)
+    assert serial[0] == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    pooled = vi_integral(spec, ins, 8)
-    assert pooled.workers == 2 and pooled.value == serial.value
+    assert used(8) == (2, serial[1])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert vi_integral(spec, ins, 8).workers == 1
+    assert used(8)[0] == 1
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert vi_integral(spec, ins, 8).workers == 1
+    assert used(8)[0] == 1
 
 
 def test_engine_refuses_fewer_than_one_worker():
