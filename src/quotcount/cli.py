@@ -122,7 +122,6 @@ def _plain_dims(spec: GrassmannSpec, monomial: Monomial, **extra) -> dict:
 def _grassmannian(req: JobRequest, monomial: Monomial, record: dict) -> VirtualCount:
     spec = _spec(req)
     record["dims"] = _plain_dims(spec, monomial)
-    record["stats"]["subsets"] = spec.subset_count
     return vi_engine.vi_integral(spec, monomial, req.workers, record["stats"])
 
 
@@ -132,12 +131,12 @@ def _section(req: JobRequest, monomial: Monomial, record: dict) -> ProblemSpec:
         raise ValueError("a section multidegree is required (--l)")
     problem = ProblemSpec(base, req.multidegree, monomial)
     record["dims"] = _plain_dims(base, monomial, twisted_dim=problem.twisted_dim)
-    record["stats"]["subsets"] = base.subset_count
     return problem
 
 
 def _hypersurface(req: JobRequest, monomial: Monomial, record: dict) -> VirtualCount:
-    closed, phi, agree = twist.hypersurface_both_paths(_section(req, monomial, record), req.workers)
+    closed, phi, agree = twist.hypersurface_both_paths(
+        _section(req, monomial, record), req.workers, record["stats"])
     if req.path != "closed":
         record["paths"] = {
             "closed": _exact_str(closed.value),
@@ -148,7 +147,8 @@ def _hypersurface(req: JobRequest, monomial: Monomial, record: dict) -> VirtualC
 
 
 def _complete_intersection(req: JobRequest, monomial: Monomial, record: dict) -> VirtualCount:
-    return twist.complete_intersection_integral(_section(req, monomial, record), req.workers)
+    return twist.complete_intersection_integral(
+        _section(req, monomial, record), req.workers, record["stats"])
 
 
 def _closed_form(req: JobRequest, monomial: Monomial, record: dict) -> VirtualCount:
@@ -162,22 +162,19 @@ def _closed_form(req: JobRequest, monomial: Monomial, record: dict) -> VirtualCo
 
 
 def _duality_check(req: JobRequest, monomial: Monomial, record: dict) -> VirtualCount:
-    spec = _spec(req)
-    report = vi_engine.duality_check(spec, monomial, req.workers)
+    report = vi_engine.duality_check(_spec(req), monomial, req.workers, record["stats"])
     record["duality"] = {
         "chern_side": _exact_str(report.chern_side.value),
         "segre_side": _exact_str(report.segre_side.value),
         "equal": report.equal,
     }
-    record["stats"]["subsets"] = spec.subset_count + spec.dual().subset_count
     return report.chern_side
 
 
 def _b_reduce(req: JobRequest, monomial: Monomial, record: dict) -> VirtualCount:
     base = _spec(req)
-    count = twist.reduce_b_classes(BClassWord(req.b_pairs, monomial), base, req.workers)
     record["dims"] = _plain_dims(base, monomial, pairs=len(req.b_pairs))
-    return count
+    return twist.reduce_b_classes(BClassWord(req.b_pairs, monomial), base, req.workers, record["stats"])
 
 
 def _tevelev(req: JobRequest, monomial: Monomial, record: dict) -> VirtualCount:
@@ -197,7 +194,6 @@ def _oracle_check(req: JobRequest, monomial: Monomial, record: dict) -> VirtualC
     if req.g != 0:
         raise ValueError("the combinatorial oracle is a genus-0 check")
     spec = _spec(req)
-    record["stats"]["subsets"] = spec.subset_count
     count = vi_engine.vi_integral(spec, monomial, req.workers, record["stats"])
     oracle_value = qh_oracle.fixed_domain_count_g0(req.r, spec.n, req.d, monomial)
     record["oracle"] = {
@@ -231,7 +227,7 @@ def run(req: JobRequest) -> dict:
         if req.workers < 1:
             raise ValueError("workers must be a positive integer")
         # the product of the request's insertions; every mode refuses an
-        # unknown kind or an index below 1 here
+        # unknown kind, an index below 1 or a negative exponent here
         monomial = Monomial((Insertion(kind, i), x) for kind, i, x in req.insertions)
         if req.mode not in MODES:
             raise ValueError(f"unknown mode {req.mode!r}")
@@ -401,10 +397,9 @@ def _strict_insertions(value: object, name: str) -> None:
             raise TypeError
         _, index, exponent = insertion
         # one test per insertion; the calls below name the defect it found
-        if type(index) is not int or type(exponent) is not int or exponent < 0:
+        if type(index) is not int or type(exponent) is not int:
             _strict_int(index, "insertion index")
             _strict_int(exponent, "insertion exponent")
-            raise ValueError("insertion exponents must be nonnegative")
 
 
 def _choice(value: object, name: str) -> None:

@@ -120,11 +120,11 @@ def _phi_scalar(spec: ProblemSpec) -> Fraction:
     )
 
 
-def _section_count(spec: ProblemSpec, workers: int) -> tuple[VirtualCount, Fraction]:
+def _section_count(spec: ProblemSpec, workers: int, stats: Optional[dict]) -> tuple[VirtualCount, Fraction]:
     """The certified closed count on the sections, with the boosted plain
-    count it scales: `_check_section`, then one engine run."""
+    count it scales: `_check_section`, then one engine run, which writes `stats`."""
     _check_section(spec)
-    raw = vi_integral(*_boost(spec), workers).value
+    raw = vi_integral(*_boost(spec), workers, stats).value
     return certified(raw * _closed_scalar(spec), enumerativity_advisor(spec)), raw
 
 
@@ -133,19 +133,21 @@ def hypersurface_integral(spec: ProblemSpec, workers: int = 1) -> VirtualCount:
     return hypersurface_both_paths(spec, workers)[0]
 
 
-def complete_intersection_integral(spec: ProblemSpec, workers: int = 1) -> VirtualCount:
+def complete_intersection_integral(spec: ProblemSpec, workers: int = 1,
+                                   stats: Optional[dict] = None) -> VirtualCount:
     """Count on a multidegree section; with one factor this is the hypersurface case."""
-    return _section_count(spec, workers)[0]
+    return _section_count(spec, workers, stats)[0]
 
 
-def hypersurface_both_paths(spec: ProblemSpec, workers: int = 1) -> tuple[VirtualCount, VirtualCount, bool]:
+def hypersurface_both_paths(spec: ProblemSpec, workers: int = 1,
+                            stats: Optional[dict] = None) -> tuple[VirtualCount, VirtualCount, bool]:
     """Closed and expansion paths off a single engine run, plus agreement.
 
     A single section degree is refused first, before the section's own checks.
     """
     if len(spec.multidegree) != 1:
         raise ValueError("hypersurface_integral expects exactly one section degree")
-    closed, raw = _section_count(spec, workers)
+    closed, raw = _section_count(spec, workers, stats)
     phi = VirtualCount(raw * _phi_scalar(spec), closed.advisory)
     return closed, phi, closed.value == phi.value
 
@@ -175,7 +177,8 @@ B_WORD_ADVISORY = Advisory(
 )
 
 
-def reduce_b_classes(word: BClassWord, base: GrassmannSpec, workers: int = 1) -> VirtualCount:
+def reduce_b_classes(word: BClassWord, base: GrassmannSpec, workers: int = 1,
+                     stats: Optional[dict] = None) -> VirtualCount:
     """Trade s odd-class pairs for a_1^s / n^s inside a plain integral.
 
     After the engine's refusals, vanishes when a pair index repeats or s > d.
@@ -188,7 +191,7 @@ def reduce_b_classes(word: BClassWord, base: GrassmannSpec, workers: int = 1) ->
     if len(set(word.pair_indices)) < s or s > base.d:
         _validate(base, boosted)
         return VirtualCount(Fraction(0), B_WORD_ADVISORY)
-    raw = vi_integral(base, boosted, workers).value
+    raw = vi_integral(base, boosted, workers, stats).value
     return certified(raw / Fraction(base.n) ** s, B_WORD_ADVISORY)
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import re
 import time
 import tracemalloc
@@ -145,18 +146,86 @@ def test_b_reduce_mode(capsys):
     assert last_json(out)["value"]["exact"] == "1"
 
 
-def test_workers_do_not_change_output(capsys):
-    records = []
-    for workers in ("1", "4"):
-        code, out = run_cli(
-            capsys, "grassmannian", "--g", "0", "--d", "1", "--r", "2", "--n", "4",
-            "--ins", "a1:8", "--format", "json", "--workers", workers,
-        )
-        assert code == EXIT_OK
-        record = last_json(out)
-        del record["stats"]
-        records.append(record)
-    assert records[0] == records[1]
+# One request per engine-backed mode.  Each of its sums (two for the duality
+# check) runs over G(3,7) or G(4,7): 35 subsets and 2 affine-orbit
+# representatives, neither of which contributes zero.
+ENGINE_REQUESTS = {
+    "grassmannian": JobRequest(mode="grassmannian", g=1, d=1, r=3, n=7, insertions=(("chern", 1, 7),)),
+    "oracle-check": JobRequest(mode="oracle-check", g=0, d=1, r=3, n=7, insertions=(("chern", 1, 19),)),
+    "hypersurface": JobRequest(mode="hypersurface", g=1, d=1, r=3, n=7, multidegree=(1,), path="both",
+                               insertions=(("chern", 1, 6),)),
+    "complete-intersection": JobRequest(mode="complete-intersection", g=0, d=1, r=3, n=7,
+                                        multidegree=(1, 1), insertions=(("chern", 1, 15),)),
+    "duality-check": JobRequest(mode="duality-check", g=1, d=1, r=3, n=7, insertions=(("chern", 1, 7),)),
+    "b-reduce": JobRequest(mode="b-reduce", g=1, d=1, r=3, n=7, b_pairs=(1,), insertions=(("chern", 1, 6),)),
+}
+ONE_SUM = {"subsets": 35, "summands": 2, "workers": 1}
+
+
+@pytest.mark.parametrize("request_, stats", [
+    *(pytest.param(request_, ONE_SUM, id=mode) for mode, request_ in ENGINE_REQUESTS.items()
+      if mode != "duality-check"),
+    pytest.param(ENGINE_REQUESTS["duality-check"], {"subsets": 70, "summands": 4, "workers": 1},
+                 id="duality-check"),
+    pytest.param(JobRequest(mode="duality-check", g=1, d=1, r=2, n=4, insertions=(("chern", 1, 4),)),
+                 {"subsets": 12, "summands": 4, "workers": 1}, id="duality-check-G(2,4)"),
+    pytest.param(JobRequest(mode="closed-form", g=0, d=1, r=1, multidegree=(2,)), {}, id="closed-form"),
+    pytest.param(JobRequest(mode="tevelev", g=1, d=2, r=5, multidegree=(2,)), {}, id="tevelev"),
+    pytest.param(JobRequest(mode="b-reduce", g=1, d=2, r=2, n=4, b_pairs=(1, 1),
+                            insertions=(("chern", 1, 6),)), {}, id="b-reduce-vanishing"),
+    pytest.param(JobRequest(mode="grassmannian", g=1, d=1, r=2, n=3, insertions=(("chern", 1, 2),)),
+                 {}, id="engine-refusal"),
+    pytest.param(JobRequest(mode="hypersurface", g=1, d=2, r=2, n=4, multidegree=(1,),
+                            insertions=(("chern", 1, 5),)), {}, id="section-refusal"),
+])
+def test_a_records_stats_are_the_engines_work_and_its_seconds(request_, stats):
+    # the engine writes subsets, summands and workers once per sum it runs;
+    # a count it does not run (pure arithmetic, a vanishing or refused one) has none
+    record = run(request_)
+    assert record["stats"].pop("seconds") >= 0
+    assert record["stats"] == stats
+
+
+def test_workers_do_not_change_output(monkeypatch):
+    # With one representative per process and two CPUs, workers=4 runs each
+    # sum on a real 2-process pool; workers=1 runs it in-process.
+    import concurrent.futures
+
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(vi_engine, "SUMMANDS_PER_WORKER", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for mode, request_ in ENGINE_REQUESTS.items():
+        vi_engine._certified_count.cache_clear()  # modes share plain integrals
+        serial, pooled = (run(request_._replace(workers=workers)) for workers in (1, 4))
+        assert (serial["stats"]["workers"], pooled["stats"]["workers"]) == (1, 2), mode
+        assert serial["ok"] and without_stats(serial) == without_stats(pooled), mode
+    assert pools == [2] * (len(ENGINE_REQUESTS) + 1)  # the duality check runs two sums
+
+
+def test_a_refused_count_keeps_its_dims(tmp_path):
+    # each runner writes its dims before the count that refuses the degree
+    lines = [
+        '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:2"}',
+        '{"mode": "hypersurface", "g": 1, "d": 2, "r": 2, "n": 4, "multidegree": [1], "ins": "a1:5"}',
+        '{"mode": "complete-intersection", "g": 0, "d": 1, "r": 2, "n": 4, "multidegree": [1, 1], "ins": "a1:5"}',
+        '{"mode": "b-reduce", "g": 1, "d": 1, "r": 2, "n": 3, "b_pairs": [1], "ins": "a1:3"}',
+    ]
+    code, rows = run_batch_lines(tmp_path, lines)
+    assert code == EXIT_VALIDATION
+    assert [row["error"]["type"] for row in rows[:-1]] == ["DimensionMismatchError"] * 4
+    assert [row["dims"] for row in rows[:-1]] == [
+        {"virtual_dim": 3, "insertion_degree": 2},
+        {"virtual_dim": 8, "twisted_dim": 6, "insertion_degree": 5},
+        {"virtual_dim": 8, "twisted_dim": 4, "insertion_degree": 5},
+        {"virtual_dim": 3, "pairs": 1, "insertion_degree": 3},
+    ]
 
 
 def test_text_format(capsys):
@@ -269,6 +338,7 @@ def test_batch_refuses_non_integer_fields(tmp_path):
         '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, '
         '"insertions": [["chern", 2, -4], ["chern", 1, 3]]}',
         '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "insertions": [["chern", 1, 3.0]]}',
+        '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "insertions": [["chern", 1, -1]]}',
         '{"mode": "tevelev", "g": 1, "d": 2, "r": 5, "multidegree": [2.0]}',
         '{"mode": "closed-form", "variant": "lg24", "g": 0, "d": 1, "m1": 6, "m2": false}',
     ]
@@ -397,6 +467,7 @@ def test_run_refuses_mistyped_fields_from_code():
         (dict(n=3.0), "n"), (dict(r=True), "r"), (dict(multidegree=2), "multidegree"),
         (dict(insertions=(3,)), "insertions"), (dict(insertions=(("chern", 1, 3.0),)), "exponent"),
         (dict(insertions=(("chern", 1),)), "insertions is malformed"),
+        (dict(insertions=(("chern", 1, -1),)), "exponents must be nonnegative"),  # Monomial's refusal
     ]
     for change, word in cases:
         record = run(JobRequest(**{**base, **change}))

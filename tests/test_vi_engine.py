@@ -335,7 +335,8 @@ def test_a_memoised_count_is_the_recomputed_count(case):
     again_stats = {}
     again = vi_integral(spec, ins, stats=again_stats)
     assert hit == again and hit_stats == again_stats
-    assert again_stats == {"summands": len(affine_orbits(spec.n, spec.r)), "workers": 1}
+    assert again_stats == {"subsets": spec.subset_count, "summands": len(affine_orbits(spec.n, spec.r)),
+                           "workers": 1}
 
 
 def test_a_refusal_is_never_stored_and_never_read():
@@ -381,7 +382,7 @@ def test_summands_reported_per_affine_orbit():
 
 def test_the_engine_writes_its_statistics_on_a_miss_and_a_hit_alike():
     spec, ins = GrassmannSpec(2, 6, 1, 1), hyperplanes(6)
-    expected = {"summands": len(affine_orbits(6, 2)), "workers": 1}
+    expected = {"subsets": 15, "summands": len(affine_orbits(6, 2)), "workers": 1}
     memo.cache_clear()
     for hits in (0, 1):
         stats = {}
@@ -744,7 +745,7 @@ def test_small_sum_with_many_workers_starts_no_process(monkeypatch):
     stats = {}
     count = vi_integral(GrassmannSpec(5, 20, 1, 1), hyperplanes(20), 8, stats)
     assert count.value == 275923203690000
-    assert stats == {"summands": 120, "workers": 1}
+    assert stats == {"subsets": 15504, "summands": 120, "workers": 1}
 
 
 def test_engine_caps_workers_at_the_cpus_it_may_use(monkeypatch):
