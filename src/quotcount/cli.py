@@ -14,9 +14,9 @@ import json
 import os
 import sys
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import qh_oracle, twist, vi_engine
 from .errors import DimensionMismatchError, QuotcountError, RegimeViolationError
@@ -26,9 +26,6 @@ from .vi_engine import GrassmannSpec, VirtualCount
 
 SCHEMA = "quotcount.result/1"
 
-# Allowed values of the string-valued request fields.
-CHOICES = {"path": ("closed", "phi", "both"), "variant": ("projective", "lg24")}
-
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
@@ -37,23 +34,6 @@ VALIDATION_ERRORS = (DimensionMismatchError, RegimeViolationError, ValueError)
 
 # One encoder for every JSON line: json.dumps with sort_keys builds a new one per call.
 _encode = json.JSONEncoder(sort_keys=True).encode
-
-
-class JobRequest(NamedTuple):
-    mode: str
-    g: int = 0
-    d: int = 0
-    r: int = 1
-    n: Optional[int] = None
-    multidegree: tuple[int, ...] = ()
-    insertions: tuple[tuple[str, int, int], ...] = ()
-    workers: int = 1
-    path: str = "closed"
-    variant: str = "projective"
-    b_pairs: tuple[int, ...] = ()
-    t: Optional[int] = None
-    m1: Optional[int] = None
-    m2: Optional[int] = None
 
 
 def _value_fields(value: Fraction) -> dict:
@@ -109,28 +89,26 @@ def parse_insertions(text: str) -> tuple[tuple[str, int, int], ...]:
 # whose value the record reports.  It hands the request's monomial to the
 # counting function, which runs the refusals.
 
-def _spec(req: JobRequest) -> GrassmannSpec:
+def _target(req: JobRequest, monomial: Monomial, record: dict, **extra) -> GrassmannSpec:
+    """The request's G(r, n) problem; the record's dims start from it, so
+    every engine-backed record carries them, a refused count's too."""
     if req.n is None:
         raise ValueError(f"mode {req.mode} requires --n")
-    return GrassmannSpec(req.r, req.n, req.g, req.d)
-
-
-def _plain_dims(spec: GrassmannSpec, monomial: Monomial, **extra) -> dict:
-    return {"virtual_dim": spec.virtual_dim, **extra, "insertion_degree": monomial.degree}
+    spec = GrassmannSpec(req.r, req.n, req.g, req.d)
+    record["dims"] = {"virtual_dim": spec.virtual_dim, **extra, "insertion_degree": monomial.degree}
+    return spec
 
 
 def _grassmannian(req: JobRequest, monomial: Monomial, record: dict) -> VirtualCount:
-    spec = _spec(req)
-    record["dims"] = _plain_dims(spec, monomial)
-    return vi_engine.vi_integral(spec, monomial, req.workers, record["stats"])
+    return vi_engine.vi_integral(_target(req, monomial, record), monomial, req.workers, record["stats"])
 
 
 def _section(req: JobRequest, monomial: Monomial, record: dict) -> ProblemSpec:
-    base = _spec(req)
+    base = _target(req, monomial, record)
     if not req.multidegree:
         raise ValueError("a section multidegree is required (--l)")
     problem = ProblemSpec(base, req.multidegree, monomial)
-    record["dims"] = _plain_dims(base, monomial, twisted_dim=problem.twisted_dim)
+    record["dims"]["twisted_dim"] = problem.twisted_dim
     return problem
 
 
@@ -162,7 +140,8 @@ def _closed_form(req: JobRequest, monomial: Monomial, record: dict) -> VirtualCo
 
 
 def _duality_check(req: JobRequest, monomial: Monomial, record: dict) -> VirtualCount:
-    report = vi_engine.duality_check(_spec(req), monomial, req.workers, record["stats"])
+    # the Chern side's target; the engine builds its Segre mirror
+    report = vi_engine.duality_check(_target(req, monomial, record), monomial, req.workers, record["stats"])
     record["duality"] = {
         "chern_side": _exact_str(report.chern_side.value),
         "segre_side": _exact_str(report.segre_side.value),
@@ -172,8 +151,7 @@ def _duality_check(req: JobRequest, monomial: Monomial, record: dict) -> Virtual
 
 
 def _b_reduce(req: JobRequest, monomial: Monomial, record: dict) -> VirtualCount:
-    base = _spec(req)
-    record["dims"] = _plain_dims(base, monomial, pairs=len(req.b_pairs))
+    base = _target(req, monomial, record, pairs=len(req.b_pairs))
     return twist.reduce_b_classes(BClassWord(req.b_pairs, monomial), base, req.workers, record["stats"])
 
 
@@ -193,7 +171,7 @@ def _tevelev(req: JobRequest, monomial: Monomial, record: dict) -> VirtualCount:
 def _oracle_check(req: JobRequest, monomial: Monomial, record: dict) -> VirtualCount:
     if req.g != 0:
         raise ValueError("the combinatorial oracle is a genus-0 check")
-    spec = _spec(req)
+    spec = _target(req, monomial, record)
     count = vi_engine.vi_integral(spec, monomial, req.workers, record["stats"])
     oracle_value = qh_oracle.fixed_domain_count_g0(req.r, spec.n, req.d, monomial)
     record["oracle"] = {
@@ -215,6 +193,173 @@ RUNNERS = {
     "oracle-check": _oracle_check,
 }
 MODES = tuple(RUNNERS)
+
+
+# -- request fields -----------------------------------------------------------
+
+class Field(NamedTuple):
+    """One JobRequest field: its default and how it is spelled on the command
+    line and in a batch."""
+
+    flags: tuple[str, ...]
+    modes: tuple[str, ...]  # the subcommands that take it
+    kind: str  # a key of _KINDS
+    default: object
+    help: str
+    keys: tuple[str, ...] = ()  # batch spellings, when not just the field name
+    choices: tuple[str, ...] = ()  # the allowed values of a "choice" field
+
+
+FIELDS = {
+    "g": Field(("--g",), MODES, "int", 0, "domain curve genus"),
+    "d": Field(("--d",), MODES, "int", 0, "map degree"),
+    "r": Field(("--r",), MODES, "int", 1, "rank of the target G(r,n)"),
+    "n": Field(("--n",), MODES, "int", None, "ambient dimension of the target G(r,n)"),
+    "multidegree": Field(("--l", "--multidegree"), MODES, "ints", (),
+                         "section degrees, comma separated (e.g. 2 or 2,2)"),
+    "insertions": Field(("--ins",), MODES, "insertions", (),
+                        "insertions, e.g. a1:3,a2:1 (Chern) or s2:4 (Segre)", ("ins", "insertions")),
+    "workers": Field(("--workers",), MODES, "int", 1,
+                     "upper bound on the worker processes for the subset sum"),
+    "path": Field(("--path",), MODES, "choice", "closed", "hypersurface evaluation path",
+                  choices=("closed", "phi", "both")),
+    "variant": Field(("--variant",), ("closed-form",), "choice", "projective", "closed-form target",
+                     choices=("projective", "lg24")),
+    "b_pairs": Field(("--pairs",), ("b-reduce",), "ints", (),
+                     "odd-class pair indices, comma separated (each j pairs j with j+g)"),
+    "t": Field(("--t",), ("tevelev",), "int", None, "number of point conditions (derived when omitted)"),
+    "m1": Field(("--m1",), ("closed-form",), "int", None, "first-Chern exponent (lg24)"),
+    "m2": Field(("--m2",), ("closed-form",), "int", None, "second-Chern exponent (lg24)"),
+}
+
+# A counting job: its mode, then one value per FIELDS entry in FIELDS order.
+JobRequest = namedtuple("JobRequest", ("mode", *FIELDS), defaults=[f.default for f in FIELDS.values()])
+
+
+def _csv_ints(text: str) -> tuple[int, ...]:
+    return tuple(int(piece) for piece in text.split(",")) if text.strip() else ()
+
+
+def _strict_int(value: object, name: str) -> None:
+    """Refuse bools, floats and strings instead of coercing them."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _strict_insertions(value: object, name: str) -> None:
+    for insertion in value:
+        if len(insertion) != 3:  # as len() of a non-sequence does; _check_fields names the field
+            raise TypeError
+        _, index, exponent = insertion
+        # one test per insertion; the calls below name the defect it found
+        if type(index) is not int or type(exponent) is not int:
+            _strict_int(index, "insertion index")
+            _strict_int(exponent, "insertion exponent")
+
+
+def _choice(value: object, name: str) -> None:
+    choices = FIELDS[name].choices
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
+class Kind(NamedTuple):
+    """What the fields of one kind do with a value."""
+
+    check: Callable[[object, str], None]  # run() makes it once per request
+    from_text: Callable[[str], object]  # command-line text to value
+    from_json: Optional[Callable[[object], object]]  # batch value to the field's shape; None keeps it
+
+
+# Insertions and choices stay text on the command line (_request_from_record
+# parses insertions, run() checks a choice); ints and choices are taken from a
+# batch as they are, and run() checks the types.
+_KINDS = {
+    "int": Kind(_strict_int, int, None),
+    "ints": Kind(lambda value, name: [_strict_int(x, name) for x in value], _csv_ints, tuple),
+    "insertions": Kind(_strict_insertions, str, lambda value: (
+        parse_insertions(value) if isinstance(value, str) else tuple(map(tuple, value)))),
+    "choice": Kind(_choice, str, None),
+}
+# (name, check, default) of each JobRequest field after `mode`, in field order
+_FIELD_CHECKS = tuple((name, _KINDS[f.kind].check, f.default) for name, f in FIELDS.items())
+
+
+def _check_fields(req: JobRequest) -> None:
+    """Refuse a field whose value is not of its FIELDS kind.  A field left at
+    JobRequest's default (None included) is valid as it is."""
+    for (name, check, default), value in zip(_FIELD_CHECKS, req[1:]):
+        if value is not default:
+            try:
+                check(value, name)
+            except TypeError:  # not a sequence, or an insertion that is not a triple
+                raise ValueError(f"{name} is malformed: {value!r}") from None
+
+
+# batch spelling -> (field name, shape conversion or None), in FIELDS order
+_BATCH_KEYS = {key: (name, _KINDS[f.kind].from_json)
+               for name, f in FIELDS.items() for key in f.keys or (name,)}
+_RECORD_KEYS = frozenset(_BATCH_KEYS) | {"mode"}
+
+
+def _request_from_record(record: object) -> JobRequest:
+    if not isinstance(record, dict):
+        raise ValueError(f"a batch line must be a JSON object, got {type(record).__name__}")
+    if not _RECORD_KEYS.issuperset(record):
+        raise ValueError(f"unknown batch fields: {sorted(set(record) - _RECORD_KEYS)}")
+    if "mode" not in record or record["mode"] not in MODES:
+        raise ValueError(f"batch record needs a mode from {MODES}")
+    values = {}
+    for key, (name, convert) in _BATCH_KEYS.items():
+        # The first spelling present wins; absent fields keep JobRequest's defaults.
+        if key in record and name not in values:
+            try:
+                values[name] = record[key] if convert is None else convert(record[key])
+            except TypeError:  # not iterable, or an insertion that is not
+                raise ValueError(f"{name} is malformed: {record[key]!r}") from None
+    return JobRequest(mode=record["mode"], **values)
+
+
+def _read_words(words: Sequence[str], flags: dict[str, str]) -> tuple[dict[str, str], list[str]]:
+    """({name: value text}, the other words) of `--flag value` or `--flag=value`
+    words, the last given winning; `flags` maps each flag taken to its name.
+    An unknown flag, a missing value or an unknown --format is a ValueError."""
+    values, bare, rest = {}, [], iter(words)
+    for word in rest:
+        flag, eq, text = word.partition("=")
+        if not word.startswith("--"):
+            bare.append(word)
+            continue
+        if flag not in flags:
+            raise ValueError(f"unrecognized argument {flag}")
+        if not eq:
+            text = next(rest, "--")
+            if text.startswith("--"):
+                raise ValueError(f"{flag} expects a value")
+        values[flags[flag]] = text
+    if values.get("format", "text") not in ("json", "text"):
+        raise ValueError(f"--format must be json or text, got {values['format']!r}")
+    return values, bare
+
+
+def _request_from_argv(mode: str, words: Sequence[str]) -> tuple[JobRequest, str]:
+    """A mode's words as a batch record, read by `_request_from_record`, and
+    the output format.  A word the mode does not take or a number that is not
+    an integer is a ValueError; run() checks the rest."""
+    flags = {flag: name for name, f in FIELDS.items() if mode in f.modes for flag in f.flags}
+    values, bare = _read_words(words, {**flags, "--format": "format"})
+    if bare:
+        raise ValueError(f"unrecognized arguments: {' '.join(bare)}")
+    fmt = values.pop("format", "text")
+    # One job from the command line may use every CPU; a request built
+    # in code or read from a batch defaults to one worker.
+    record = {"mode": mode, "workers": os.cpu_count() or 1}
+    for name, text in values.items():
+        try:
+            record[name] = _KINDS[FIELDS[name].kind].from_text(text)
+        except ValueError:
+            raise ValueError(f"invalid {name} value: {text!r}") from None
+    return _request_from_record(record), fmt
 
 
 def run(req: JobRequest) -> dict:
@@ -348,164 +493,6 @@ def _exit_code(record: dict) -> int:
     return EXIT_OK if record["ok"] else record["error"]["exit"]
 
 
-# -- request fields -----------------------------------------------------------
-
-class Field(NamedTuple):
-    """How one JobRequest field is spelled on the command line and in a batch."""
-
-    flags: tuple[str, ...]
-    modes: tuple[str, ...]  # the subcommands that take it
-    kind: str  # "int", "ints", "insertions" or "choice" (one of CHOICES[name])
-    help: str
-    keys: tuple[str, ...] = ()  # batch spellings, when not just the field name
-
-
-FIELDS = {
-    "g": Field(("--g",), MODES, "int", "domain curve genus"),
-    "d": Field(("--d",), MODES, "int", "map degree"),
-    "r": Field(("--r",), MODES, "int", "rank of the target G(r,n)"),
-    "n": Field(("--n",), MODES, "int", "ambient dimension of the target G(r,n)"),
-    "multidegree": Field(("--l", "--multidegree"), MODES, "ints",
-                         "section degrees, comma separated (e.g. 2 or 2,2)"),
-    "insertions": Field(("--ins",), MODES, "insertions",
-                        "insertions, e.g. a1:3,a2:1 (Chern) or s2:4 (Segre)", ("ins", "insertions")),
-    "workers": Field(("--workers",), MODES, "int",
-                     "upper bound on the worker processes for the subset sum"),
-    "path": Field(("--path",), MODES, "choice", "hypersurface evaluation path"),
-    "variant": Field(("--variant",), ("closed-form",), "choice", "closed-form target"),
-    "b_pairs": Field(("--pairs",), ("b-reduce",), "ints",
-                     "odd-class pair indices, comma separated (each j pairs j with j+g)"),
-    "t": Field(("--t",), ("tevelev",), "int", "number of point conditions (derived when omitted)"),
-    "m1": Field(("--m1",), ("closed-form",), "int", "first-Chern exponent (lg24)"),
-    "m2": Field(("--m2",), ("closed-form",), "int", "second-Chern exponent (lg24)"),
-}
-
-
-def _csv_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(piece) for piece in text.split(",")) if text.strip() else ()
-
-
-def _strict_int(value: object, name: str) -> None:
-    """Refuse bools, floats and strings instead of coercing them."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _strict_insertions(value: object, name: str) -> None:
-    for insertion in value:
-        if len(insertion) != 3:  # as len() of a non-sequence does; _check_fields names the field
-            raise TypeError
-        _, index, exponent = insertion
-        # one test per insertion; the calls below name the defect it found
-        if type(index) is not int or type(exponent) is not int:
-            _strict_int(index, "insertion index")
-            _strict_int(exponent, "insertion exponent")
-
-
-def _choice(value: object, name: str) -> None:
-    if value not in CHOICES[name]:
-        raise ValueError(f"{name} must be one of {CHOICES[name]}, got {value!r}")
-
-
-# kind -> check of a field's value; run() makes it once per request.
-_CHECKS = {
-    "int": _strict_int,
-    "ints": lambda value, name: [_strict_int(x, name) for x in value],
-    "insertions": _strict_insertions,
-    "choice": _choice,
-}
-# (name, check, default) of each JobRequest field after `mode`, in field order
-_FIELD_CHECKS = tuple((name, _CHECKS[FIELDS[name].kind], JobRequest._field_defaults[name])
-                      for name in JobRequest._fields[1:])
-
-
-def _check_fields(req: JobRequest) -> None:
-    """Refuse a field whose value is not of its FIELDS kind.  A field left at
-    JobRequest's default (None included) is valid as it is."""
-    for (name, check, default), value in zip(_FIELD_CHECKS, req[1:]):
-        if value is not default:
-            try:
-                check(value, name)
-            except TypeError:  # not a sequence, or an insertion that is not a triple
-                raise ValueError(f"{name} is malformed: {value!r}") from None
-
-
-# kind -> command-line text to value; insertions and choices stay text
-# (_request_from_record parses insertions, run() checks a choice).
-_FROM_TEXT = {"int": int, "ints": _csv_ints}
-# kind -> batch JSON value to the field's shape (ints and choices are taken
-# as they are); run() checks the types.
-_FROM_JSON = {
-    "ints": tuple,
-    "insertions": lambda value: (
-        parse_insertions(value) if isinstance(value, str) else tuple(map(tuple, value))),
-}
-# batch spelling -> (field name, shape conversion or None), in FIELDS order
-_BATCH_KEYS = {key: (name, _FROM_JSON.get(f.kind))
-               for name, f in FIELDS.items() for key in f.keys or (name,)}
-_RECORD_KEYS = frozenset(_BATCH_KEYS) | {"mode"}
-
-
-def _request_from_record(record: object) -> JobRequest:
-    if not isinstance(record, dict):
-        raise ValueError(f"a batch line must be a JSON object, got {type(record).__name__}")
-    if not _RECORD_KEYS.issuperset(record):
-        raise ValueError(f"unknown batch fields: {sorted(set(record) - _RECORD_KEYS)}")
-    if "mode" not in record or record["mode"] not in MODES:
-        raise ValueError(f"batch record needs a mode from {MODES}")
-    values = {}
-    for key, (name, convert) in _BATCH_KEYS.items():
-        # The first spelling present wins; absent fields keep JobRequest's defaults.
-        if key in record and name not in values:
-            try:
-                values[name] = record[key] if convert is None else convert(record[key])
-            except TypeError:  # not iterable, or an insertion that is not
-                raise ValueError(f"{name} is malformed: {record[key]!r}") from None
-    return JobRequest(mode=record["mode"], **values)
-
-
-def _read_words(words: Sequence[str], flags: dict[str, str]) -> tuple[dict[str, str], list[str]]:
-    """({name: value text}, the other words) of `--flag value` or `--flag=value`
-    words, the last given winning; `flags` maps each flag taken to its name.
-    An unknown flag, a missing value or an unknown --format is a ValueError."""
-    values, bare, rest = {}, [], iter(words)
-    for word in rest:
-        flag, eq, text = word.partition("=")
-        if not word.startswith("--"):
-            bare.append(word)
-            continue
-        if flag not in flags:
-            raise ValueError(f"unrecognized argument {flag}")
-        if not eq:
-            text = next(rest, "--")
-            if text.startswith("--"):
-                raise ValueError(f"{flag} expects a value")
-        values[flags[flag]] = text
-    if values.get("format", "text") not in ("json", "text"):
-        raise ValueError(f"--format must be json or text, got {values['format']!r}")
-    return values, bare
-
-
-def _request_from_argv(mode: str, words: Sequence[str]) -> tuple[JobRequest, str]:
-    """A mode's words as a batch record, read by `_request_from_record`, and
-    the output format.  A word the mode does not take or a number that is not
-    an integer is a ValueError; run() checks the rest."""
-    flags = {flag: name for name, f in FIELDS.items() if mode in f.modes for flag in f.flags}
-    values, bare = _read_words(words, {**flags, "--format": "format"})
-    if bare:
-        raise ValueError(f"unrecognized arguments: {' '.join(bare)}")
-    fmt = values.pop("format", "text")
-    # One job from the command line may use every CPU; a request built
-    # in code or read from a batch defaults to one worker.
-    record = {"mode": mode, "workers": os.cpu_count() or 1}
-    for name, text in values.items():
-        try:
-            record[name] = _FROM_TEXT.get(FIELDS[name].kind, str)(text)
-        except ValueError:
-            raise ValueError(f"invalid {name} value: {text!r}") from None
-    return _request_from_record(record), fmt
-
-
 # -- batch ------------------------------------------------------------------
 
 def run_batch(path: str, out=None) -> int:
@@ -620,14 +607,14 @@ def _run_lines(handle, out) -> int:
 # -- command line -------------------------------------------------------------
 
 def _usage() -> str:
-    """The help text, read off MODES, FIELDS and CHOICES."""
+    """The help text, read off MODES and FIELDS."""
     lines = ["usage: quotcount MODE [--flag VALUE | --flag=VALUE ...] [--format {json,text}]",
              "       quotcount batch FILE",
              "       quotcount preset [NAME] [--all] [--format {json,text}]",
              f"modes: {', '.join(MODES)}",
              "flags (--workers defaults to the CPU count):"]
     for name, f in FIELDS.items():
-        value = "{%s}" % ",".join(CHOICES[name]) if f.kind == "choice" else f.flags[-1][2:].upper()
+        value = "{%s}" % ",".join(f.choices) if f.choices else f.flags[-1][2:].upper()
         only = "" if f.modes == MODES else f" ({', '.join(f.modes)} only)"
         lines.append(f"  {', '.join(f.flags)} {value}".ljust(30) + f"  {f.help}{only}")
     return "\n".join(lines)

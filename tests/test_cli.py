@@ -186,6 +186,19 @@ def test_a_records_stats_are_the_engines_work_and_its_seconds(request_, stats):
     assert record["stats"] == stats
 
 
+
+@pytest.mark.parametrize("mode", ENGINE_REQUESTS)
+def test_every_engine_backed_record_carries_its_dims(mode):
+    # an ok record and one refused for its insertion degree alike
+    request_ = ENGINE_REQUESTS[mode]
+    (kind, index, exponent), = request_.insertions
+    ok, refused = run(request_), run(request_._replace(insertions=((kind, index, exponent + 1),)))
+    assert ok["ok"] and ok["dims"]["insertion_degree"] == exponent
+    assert refused["error"]["type"] == "DimensionMismatchError"
+    assert refused["dims"]["insertion_degree"] == exponent + 1
+    assert ok["dims"]["virtual_dim"] == refused["dims"]["virtual_dim"] == GrassmannSpec(
+        request_.r, request_.n, request_.g, request_.d).virtual_dim
+
 def test_workers_do_not_change_output(monkeypatch):
     # With one representative per process and two CPUs, workers=4 runs each
     # sum on a real 2-process pool; workers=1 runs it in-process.
@@ -460,6 +473,26 @@ def test_run_refuses_unknown_path_and_variant_from_code():
         assert record["error"]["exit"] == EXIT_VALIDATION
 
 
+
+@pytest.mark.parametrize("request_, message", [
+    (JobRequest(mode="grassmannian", g=1, d=1, r=2, insertions=(("chern", 1, 3),)),
+     "mode grassmannian requires --n"),
+    (JobRequest(mode="hypersurface", g=1, d=2, r=2, n=4, insertions=(("chern", 1, 6),)),
+     "a section multidegree is required (--l)"),
+    (JobRequest(mode="complete-intersection", g=0, d=1, r=4, n=5, insertions=(("chern", 1, 3),)),
+     "a section multidegree is required (--l)"),
+    (JobRequest(mode="closed-form", variant="lg24", g=0, d=1, m1=6), "closed-form lg24 requires --m1 and --m2"),
+    (JobRequest(mode="closed-form", g=0, d=1, r=1), "closed-form projective requires --l"),
+    (JobRequest(mode="tevelev", g=1, d=2, r=5, multidegree=(2, 2)),
+     "tevelev requires a single section degree (--l)"),
+    (JobRequest(mode="oracle-check", g=1, d=1, r=2, n=4, insertions=(("chern", 1, 8),)),
+     "the combinatorial oracle is a genus-0 check"),
+])
+def test_a_runner_refuses_a_request_that_lacks_what_its_mode_needs(request_, message):
+    record = run(request_)
+    assert record["ok"] is False and "value" not in record
+    assert record["error"] == {"type": "ValueError", "message": message, "exit": EXIT_VALIDATION}
+
 def test_run_refuses_mistyped_fields_from_code():
     base = dict(mode="grassmannian", g=1, d=1, r=2, n=3, insertions=(("chern", 1, 3),))
     cases = [
@@ -638,6 +671,7 @@ TEXT_RECORDS = {
     "g24-euler": ["grassmannian: value = 6", GRASSMANN_ADVISORY,
                   'dims: {"insertion_degree": 0, "virtual_dim": 0}'],
     "g24-lines-8pt": ["oracle-check: value = 8", GRASSMANN_ADVISORY,
+                      'dims: {"insertion_degree": 8, "virtual_dim": 8}',
                       'oracle: {"engine": "8", "equal": true, "oracle": "8"}'],
     "lg24-g1-d2": ["hypersurface: value = 24", SECTION_ADVISORY,
                    'dims: {"insertion_degree": 6, "twisted_dim": 6, "virtual_dim": 8}',
@@ -650,6 +684,7 @@ TEXT_RECORDS = {
     "p4-ci22-g0-d1": ["complete-intersection: value = 64", SECTION_ADVISORY,
                       'dims: {"insertion_degree": 3, "twisted_dim": 3, "virtual_dim": 9}'],
     "p2-duality-g1-d1": ["duality-check: value = 3", GRASSMANN_ADVISORY,
+                         'dims: {"insertion_degree": 3, "virtual_dim": 3}',
                          'duality: {"chern_side": "3", "equal": true, "segre_side": "3"}'],
     "breduce-elliptic": ["b-reduce: value = 1",
                          "virtual-only (odd-cohomology insertions carry no enumerativity statement)",
@@ -691,6 +726,8 @@ def test_help_names_every_mode_and_flag(capsys, argv):
     words = set(re.findall(r"[\w-]+", captured.out))
     assert words >= {*MODES, "batch", "preset", "--format", "--all"}
     assert words >= {flag for field in FIELDS.values() for flag in field.flags}
+    assert words >= {value for field in FIELDS.values() for value in field.choices} == {
+        "closed", "phi", "both", "projective", "lg24"}
 
 
 @pytest.mark.parametrize("argv", [[], ["nosuchmode", "--g", "1"]])
@@ -934,6 +971,18 @@ def test_run_request_directly():
                             insertions=(("chern", 1, 4),)))
     assert record["ok"] and record["value"]["exact"] == "2"
 
+
+
+def test_a_job_request_is_a_named_tuple_read_off_fields():
+    import pickle
+
+    from quotcount.cli import FIELDS
+
+    assert JobRequest(mode="tevelev")._asdict() == {
+        "mode": "tevelev", **{name: field.default for name, field in FIELDS.items()}}
+    request_ = PRESETS["lg24-g1-d2"][1]
+    assert pickle.loads(pickle.dumps(request_)) == request_ == tuple(request_)
+    assert hash(request_._replace(g=1)) == hash(request_)
 
 # a_1^5000000 would be a 40 MB insertion tuple; an exponent of 10^9 would ask
 # for gigabytes if a change ever expanded it, so none is used here.
