@@ -11,18 +11,26 @@ oracle shares no arithmetic with the engine.
 Conventions, locked by tests rather than assumed: the Chern-type
 insertion of index i is the class of the transposed one-row shape (the
 column with i boxes), so it multiplies by a vertical i-strip; the
-Segre-type insertion multiplies by a horizontal i-strip.  Rim hooks are
-removed head-first from the end of the first row with sign
-(-1)^(r - height); if the hook does not fit, the term vanishes.  With
-these choices every product of effective classes has nonnegative
-coefficients, which the count asserts.
+Segre-type insertion multiplies by a horizontal i-strip.  Row j of a
+shape padded to r rows is a bead at b_j = lambda_j + r - 1 - j, and a
+strip moves beads up: a vertical i-strip moves i beads one place each,
+each onto a free place; a horizontal strip moves each bead j >= 1 at most
+to just below the old place of bead j - 1, and the first bead takes the
+rest.  Only the first bead can reach n, so the reduction into the box is
+one step: the bead lands on b mod n after q = b // n rim hooks of size
+n, with sign (-1)^((r-1)q + the number of beads it jumps), and the term
+vanishes if it lands on another bead.  This is the same as removing the
+hooks head-first from the end of the first row, one at a time, with sign
+(-1)^(r - height) each.  With these choices every product of effective
+classes has nonnegative coefficients, which the count asserts.
 
 How the count is organised:
 
 - One Pieri row per (padded shape, index, kind, n), in one bounded
-  table (`_pieri_row`): the strips on the shape, each reduced into the
-  box, merged, zero coefficients dropped.  `QClass` products and the
-  count both read it, so the module has one Pieri implementation.
+  table (`_pieri_row`): one walk over the bead moves of both kinds of
+  strip, each reduced into the box in its one step, merged, zero
+  coefficients dropped.  `QClass` products and the count both read it,
+  so the module has one Pieri implementation.
 - Largest index first.  The ring is commutative, so the count takes the
   insertions by descending index: the rows with the most strips are then
   built while the class still has few terms.
@@ -43,6 +51,7 @@ How the count is organised:
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import QuotcountError
@@ -82,81 +91,6 @@ def _check_index(r: int, kind: str, i: int) -> None:
         raise ValueError("index must be a positive integer")
 
 
-def _vertical_strips(padded: tuple[int, ...], i: int) -> tuple[tuple[int, ...], ...]:
-    # All ways of adding i boxes, no two in the same row.  Depth first on
-    # an explicit stack, so that no number of rows is too many: a frame
-    # (j, left, prev) sets row j-1 to prev and continues at row j.
-    r = len(padded)
-    out: list[tuple[int, ...]] = []
-    acc = [0] * r
-    stack = [(0, i, 10**9)]
-    while stack:
-        j, left, prev = stack.pop()
-        if j:
-            acc[j - 1] = prev
-        if left > r - j:
-            continue
-        if j == r:
-            out.append(tuple(acc))
-            continue
-        # pushed in reverse, so a row is kept before it grows
-        if left and padded[j] + 1 <= prev:
-            stack.append((j + 1, left - 1, padded[j] + 1))
-        if padded[j] <= prev:
-            stack.append((j + 1, left, padded[j]))
-    return tuple(out)
-
-
-def _horizontal_strips(padded: tuple[int, ...], i: int) -> tuple[tuple[int, ...], ...]:
-    # All ways of adding i boxes, no two in the same column:
-    # row j may grow up to the length of row j-1 in the old shape.
-    # A frame (j, left, new) sets row j-1 to new and continues at row j.
-    r = len(padded)
-    out: list[tuple[int, ...]] = []
-    acc = [0] * r
-    stack = [(0, i, 0)]
-    while stack:
-        j, left, new = stack.pop()
-        if j:
-            acc[j - 1] = new
-        if j == r:
-            if left == 0:
-                out.append(tuple(acc))
-            continue
-        low = padded[j]
-        prev_old = padded[j - 1] if j else low + i
-        # pushed in reverse, so the shortest row comes first
-        for new in range(min(prev_old, low + left), low - 1, -1):
-            stack.append((j + 1, left - (new - low), new))
-    return tuple(out)
-
-
-def _rim_hook_reduce(padded: tuple[int, ...], r: int, n: int):
-    """Bring a shape back into the box, one n-hook at a time.
-
-    Returns (padded_shape, q_added, sign) or None when a hook fails to
-    fit (the class vanishes).  Uses first-column hook lengths: removing
-    the hook headed at the end of the first row subtracts n from the top
-    one; a collision or a negative value kills the term, and the sign is
-    (-1)^(r - height) with height = 1 + number of values jumped over.
-    """
-    cols = n - r
-    cur = list(padded)
-    q_added = 0
-    sign = 1
-    while cur[0] > cols:
-        betas = [cur[j] + (r - 1 - j) for j in range(r)]
-        head = betas[0] - n
-        if head < 0 or head in betas[1:]:
-            return None
-        height = 1 + sum(1 for b in betas[1:] if b > head)
-        sign *= -1 if (r - height) % 2 else 1
-        betas = sorted(betas[1:] + [head], reverse=True)
-        cur = [betas[j] - (r - 1 - j) for j in range(r)]
-        q_added += 1
-    return tuple(cur), q_added, sign
-
-
 # Products revisit the same (shape, insertion) pairs many times; the
 # table is bounded.
 @lru_cache(maxsize=16384)
@@ -166,15 +100,38 @@ def _pieri_row(padded: tuple[int, ...], i: int, kind: str, n: int) -> tuple[tupl
     Returns ((padded shape, q added, coefficient), ...): the vertical
     (Chern) or horizontal (Segre) i-strips on `padded`, each brought
     back into the r x (n-r) box with r = len(padded), merged, zero
-    coefficients dropped.
+    coefficients dropped.  The strips are bead moves (module docstring),
+    walked from the bottom bead up: each bead ends above the new place of
+    the bead below it, and the first bead takes the boxes left.
     """
-    strips = _vertical_strips if kind == CHERN else _horizontal_strips
+    r = len(padded)
+    steps = range(r - 1, -1, -1)
+    beads = list(map(add, padded, steps))
+    new = beads[:]
+    chern = kind == CHERN
     merged: dict[tuple[tuple[int, ...], int], int] = {}
-    for grown in strips(padded, i):
-        reduced = _rim_hook_reduce(grown, len(padded), n)
-        if reduced is not None:
-            shape, dq, sign = reduced
-            merged[shape, dq] = merged.get((shape, dq), 0) + sign
+    # Depth first on an explicit stack, so that no number of rows is too
+    # many: a frame (j, left, below) sets bead j+1 to below and moves bead j.
+    stack = [(r - 1, i, -1)]
+    while stack:
+        j, left, below = stack.pop()
+        if j < r - 1:
+            new[j + 1] = below
+        b = beads[j]
+        if j:
+            # in a vertical strip the j beads above can take only j boxes
+            low, top = (max(b, below + 1, b + left - j), b + 1) if chern else (b, beads[j - 1] - 1)
+            for place in range(low, min(top, b + left) + 1):
+                stack.append((j - 1, left - (place - b), place))
+        elif below < b + left and (left <= 1 or not chern):
+            q, head = divmod(b + left, n)
+            rest = new[1:]
+            if head in rest:
+                continue
+            jumps = sum(1 for x in rest if x > head) if q else 0
+            rest.insert(jumps, head)
+            key = tuple(map(sub, rest, steps)), q
+            merged[key] = merged.get(key, 0) + (-1 if ((r - 1) * q + jumps) % 2 else 1)
     return tuple((shape, dq, c) for (shape, dq), c in merged.items() if c)
 
 

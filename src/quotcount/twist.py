@@ -25,10 +25,11 @@ G(2, 4), and the fixed-point-count comparison, compute their values as
 pure arithmetic (no engine call).  Each states its target as a
 ProblemSpec, so its genus, degree, rank and multidegree are checked as
 that spec is built, and its advisory comes from the one enumerativity
-advisor; the Lagrangian form also runs the regime and insertion-degree
-checks of the engine-backed section counts.  These values and the phi
-path's are reported as they are, uncertified: a count's `is_integer` is
-read off its value.
+advisor.  The projective form refuses a negative twisted dimension; the
+Lagrangian form also runs the regime and insertion-degree checks of the
+engine-backed section counts.  These values and the phi path's are
+reported as they are, uncertified: a count's `is_integer` is read off
+its value.
 """
 
 from __future__ import annotations
@@ -207,6 +208,8 @@ def closed_form_projective(g: int, d: int, r: int, multidegree: Sequence[int]) -
     Pure arithmetic; nonzero only when sum of degrees is at most r.
     """
     spec = _projective(g, d, r, multidegree)
+    if spec.twisted_dim < 0:
+        raise DimensionMismatchError(f"twisted virtual dimension is {spec.twisted_dim}, below zero")
     return VirtualCount(_closed_scalar(spec) * (r + 1) ** g, enumerativity_advisor(spec))
 
 

@@ -368,6 +368,19 @@ def test_batch_refuses_non_integer_fields(tmp_path):
     assert code == EXIT_VALIDATION
 
 
+def test_a_negative_twisted_dimension_is_refused_by_both_section_routes(capsys):
+    # P^2 cut by two quadrics at g = 1, d = 1 has twisted dimension -1: the
+    # closed form once printed -16 for it.
+    for argv, message in (
+        (("closed-form", "--variant", "projective"), "twisted virtual dimension is -1, below zero"),
+        (("complete-intersection", "--n", "3"), "twisted virtual dimension is -1, but the insertion degree is 0"),
+    ):
+        code, out = run_cli(capsys, *argv, "--g", "1", "--d", "1", "--r", "2", "--l", "2,2", "--format", "json")
+        assert code == EXIT_VALIDATION
+        assert last_json(out)["error"] == {"type": "DimensionMismatchError", "message": message,
+                                           "exit": EXIT_VALIDATION}
+
+
 def test_a_count_too_long_to_print_is_a_record_of_its_own(tmp_path, capsys):
     # 2^20002 has more digits than str() converts; r = -3 is no projective space.
     huge = '{"mode": "closed-form", "variant": "projective", "g": 0, "d": 10000, "r": 3, "multidegree": [2]}'

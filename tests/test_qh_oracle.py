@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,20 +172,86 @@ def test_oracle_refusals():
 
 
 def test_positivity_guard_fires_on_a_broken_sign(cold_oracle, monkeypatch):
-    # Flip the sign of every rim hook removed: sigma_1^4 in G(2,4) has the
-    # term 2q, which turns negative, so the effective product must refuse.
-    reduce = qh_oracle._rim_hook_reduce
+    # Flip the sign of every term that removed a rim hook: sigma_1^4 in
+    # G(2,4) has the term 2q, which turns negative, so the effective
+    # product must refuse.
+    row = qh_oracle._pieri_row.__wrapped__
 
-    def broken(padded, r, n):
-        reduced = reduce(padded, r, n)
-        if reduced is None or reduced[1] == 0:
-            return reduced
-        shape, q_added, sign = reduced
-        return shape, q_added, -sign
+    def broken(padded, i, kind, n):
+        return tuple((shape, dq, -c if dq else c) for shape, dq, c in row(padded, i, kind, n))
 
-    monkeypatch.setattr(qh_oracle, "_rim_hook_reduce", broken)
+    monkeypatch.setattr(qh_oracle, "_pieri_row", broken)
     with pytest.raises(QuotcountError, match="negative structure coefficient"):
         fixed_domain_count_g0(2, 4, 1, [chern(1)] * 8)
+
+
+def _strips(padded, i, kind):
+    """Every shape mu such that mu / padded is a vertical (Chern) or a
+    horizontal (Segre) i-strip, by filtering all ways of adding i boxes."""
+    r = len(padded)
+    for cuts in itertools.combinations(range(i + r - 1), r - 1):
+        added = [b - a - 1 for a, b in zip((-1,) + cuts, cuts + (i + r - 1,))]
+        mu = tuple(p + a for p, a in zip(padded, added))
+        if any(b > a for a, b in zip(mu, mu[1:])):
+            continue
+        if kind == CHERN and max(added) > 1:
+            continue
+        if kind == SEGRE and any(m > p for m, p in zip(mu[1:], padded)):
+            continue
+        yield mu
+
+
+def _into_box(mu, n):
+    """Remove n-rim hooks from the diagram of mu head-first, one at a time,
+    until it fits the r x (n-r) box: (shape, hooks removed, sign), or None
+    when a hook runs off the diagram or its removal leaves no shape."""
+    r = len(mu)
+    rows, hooks, sign = list(mu), 0, 1
+    while rows[0] > n - r:
+        cells = [(0, rows[0] - 1)]  # walk the rim from the end of the first row
+        while len(cells) < n:
+            j, c = cells[-1]
+            if j + 1 < r and rows[j + 1] > c:
+                cells.append((j + 1, c))
+            elif c:
+                cells.append((j, c - 1))
+            else:
+                return None
+        j, c = cells[-1]
+        if j + 1 < r and rows[j + 1] > c:
+            return None
+        for row, col in cells:
+            rows[row] = min(rows[row], col)
+        hooks += 1
+        sign *= (-1) ** (r - (j + 1))
+    return tuple(rows), hooks, sign
+
+
+@st.composite
+def pieri_cases(draw):
+    n = draw(st.integers(2, 9))
+    r = draw(st.integers(1, min(5, n - 1)))
+    padded = tuple(sorted((draw(st.integers(0, n - r)) for _ in range(r)), reverse=True))
+    kind = draw(st.sampled_from((CHERN, SEGRE)))
+    i = draw(st.integers(1, r if kind == CHERN else 2 * n))
+    return padded, i, kind, n
+
+
+@given(pieri_cases())
+@settings(max_examples=300, deadline=None)
+def test_pieri_row_is_its_definition(case):
+    # The row against the strips found by brute force, each brought into
+    # the box by removing rim hooks on the diagram, sign (-1)^(r - height).
+    padded, i, kind, n = case
+    expected: dict = {}
+    for mu in _strips(padded, i, kind):
+        reduced = _into_box(mu, n)
+        if reduced is not None:
+            shape, hooks, sign = reduced
+            expected[shape, hooks] = expected.get((shape, hooks), 0) + sign
+    row = _pieri_row(padded, i, kind, n)
+    assert {(shape, q): c for shape, q, c in row} == {k: c for k, c in expected.items() if c}
+    assert len(row) == len({(shape, q) for shape, q, _ in row})
 
 
 @st.composite

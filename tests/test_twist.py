@@ -286,12 +286,22 @@ def test_b_class_rank_refusal_runs_once_whatever_the_pairs(monkeypatch, pairs, i
         assert record["value"]["exact"] == str(value)
 
 
+def _projective_twisted_dim(g, d, r, multidegree):
+    return ProblemSpec(GrassmannSpec(r, r + 1, g, d), tuple(multidegree), ()).twisted_dim
+
+
 def test_closed_forms_are_the_closed_scalar_products_on_a_grid():
-    # prod l^(d*l-g+1) * (r+1-sum l)^g, and Q = that / l^t for one degree
+    # prod l^(d*l-g+1) * (r+1-sum l)^g, and Q = that / l^t for one degree;
+    # a negative twisted dimension is refused
     for g in range(4):
         for d in range(5):
             for r in range(1, 7):
                 for multidegree in [(1,), (2,), (3,), (1, 1), (1, 2), (2, 3)]:
+                    twisted = _projective_twisted_dim(g, d, r, multidegree)
+                    if twisted < 0:
+                        with pytest.raises(DimensionMismatchError, match=f"is {twisted}, below zero"):
+                            closed_form_projective(g, d, r, multidegree)
+                        continue
                     value = Fraction(r + 1 - sum(multidegree)) ** g
                     for l in multidegree:
                         value *= Fraction(l) ** (d * l - g + 1)
@@ -362,6 +372,7 @@ def test_closed_form_projective_refuses_rank_below_one():
 def test_closed_form_advisory_statuses_follow_the_codimension_rule():
     # Out of regime if some d*l <= 2g-2; otherwise enumerative if sum(l) < r
     # for one degree (sum(l) <= r for several or none), else virtual only.
+    # A negative twisted dimension is refused before any advisory.
     def rule(g, d, r, multidegree):
         if any(d * l <= 2 * g - 2 for l in multidegree):
             return Enumerativity.OUT_OF_REGIME
@@ -376,6 +387,10 @@ def test_closed_form_advisory_statuses_follow_the_codimension_rule():
         for d in range(6):
             for r in range(1, 7):
                 for multidegree in degrees:
+                    if _projective_twisted_dim(g, d, r, multidegree) < 0:
+                        with pytest.raises(DimensionMismatchError):
+                            closed_form_projective(g, d, r, multidegree)
+                        continue
                     count = closed_form_projective(g, d, r, multidegree)
                     assert count.advisory.status is rule(g, d, r, multidegree), (g, d, r, multidegree)
                 for l in range(1, r + 1):
@@ -422,7 +437,7 @@ def counts_on_a_small_grid():
     skipped: the engine, the three section counts, the phi path, the
     odd-class reduction (its vanishing zero included), both closed forms
     and the Tevelev point count."""
-    calls = [("closed_form_projective", (2, 0, 4, (2,)))]  # 9/2
+    calls = []
     for g in range(3):
         for d in range(4):
             calls += [("closed_form_lg24", (g, d, m1, m2)) for m1 in range(7) for m2 in range(4)]
@@ -461,8 +476,9 @@ def test_every_count_reads_its_integrality_off_its_value():
         assert count.is_integer == (count.value.denominator == 1), (name, args)
         seen.setdefault(name, set()).add(count.is_integer)
     assert seen["closed_form_projective"] == {True, False}
-    assert closed_form_projective(2, 0, 4, (2,)).value == Fraction(9, 2)
-    assert not closed_form_projective(2, 0, 4, (2,)).is_integer
+    # out of regime, twisted dimension 1
+    assert closed_form_projective(2, 0, 1, (1, 2)).value == Fraction(1, 2)
+    assert not closed_form_projective(2, 0, 1, (1, 2)).is_integer
     assert set(seen) == {
         "vi_integral", "hypersurface_integral", "complete_intersection_integral",
         "hypersurface_both_paths.closed", "hypersurface_both_paths.phi", "reduce_b_classes",
