@@ -32,7 +32,6 @@ from .symfunc import (
     elementary,
     monomial,
     segre,
-    weighted_degree,
 )
 from .twist import (
     BClassWord,

@@ -103,10 +103,6 @@ def as_monomial(insertions: Monomial | Iterable[Insertion]) -> Monomial:
     return Monomial((ins, 1) for ins in insertions)
 
 
-def weighted_degree(insertions: Iterable[Insertion]) -> int:
-    return sum(ins.index for ins in insertions)
-
-
 def check_degree(insertions: Monomial, expected: int, what: str) -> None:
     """Refuse insertions whose degree is not `expected`, the `what` they must fill."""
     degree = insertions.degree

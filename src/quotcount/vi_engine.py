@@ -12,9 +12,11 @@ The weight is computed division-free as
 which agrees with the classical n*x^(n-1)-over-differences expression
 because n*zeta^(n-1) is the product of the differences of zeta with all
 other n-th roots.  At genus 0 the classical expression inverts without
-a division:
+a division once it is scaled by n^r:
 
-    1/J(I) = n^(-r) * w^(sum of I) * prod over i != j in I of (w^i - w^j).
+    n^r/J(I) = w^(sum of I) * prod over i != j in I of (w^i - w^j),
+
+so both routes sum n^r times each genus-0 summand and divide by n^r once.
 
 `_summand` evaluates a summand in `_packed_ring` (Kronecker substitution):
 w -> 2^K maps Z[w]/(w^n - 1) onto the integers modulo 2^(K*n) - 1 as a
@@ -28,8 +30,9 @@ exactly as balanced base-2^K digits (`balanced_digits`), once per job
 (at genus 0 the packed sum carries n^r times the sum, and n^(-r) is
 applied with the trace below).  A decoded coefficient above the bound is
 an internal error.
-`_Evaluator` keeps the same summand in `Cyc` arithmetic as the reference
-for `vi_integral_orbit_reduced`, `j_factor` and the tests.
+`_Evaluator` keeps the same summand (n^r times it at genus 0) in integer
+`Cyc` arithmetic as the reference for `vi_integral_orbit_reduced`,
+`j_factor` and the tests.
 
 The sum is folded over the affine group I -> u*I + t (gcd(u, n) = 1)
 acting on exponent subsets.  In top degree a rotation (t) leaves each
@@ -309,9 +312,9 @@ class _Evaluator:
         return acc
 
     def j_inverse(self, subset: Sequence[int]) -> Cyc:
-        """n^(-r) * w^(sum of I) * prod over i != j in I of (w^i - w^j).
+        """w^(sum of I) * prod over i != j in I of (w^i - w^j).
 
-        This is 1/J in the field: J = prod over i in I of n*zeta_i^(n-1),
+        This is n^r/J in the field: J = prod over i in I of n*zeta_i^(n-1),
         over the product of the differences of the chosen roots.
         """
         acc = root_of_unity(self.n, sum(subset))
@@ -319,7 +322,7 @@ class _Evaluator:
             for j in subset:
                 if i != j:
                     acc = acc.times_difference(i, j)
-        return acc.scale(Fraction(1, self.n ** self.r))
+        return acc
 
     def summand(self, subset: Sequence[int]) -> Cyc:
         acc = self.insertion_product([root_of_unity(self.n, a) for a in subset])
@@ -611,7 +614,8 @@ def vi_integral_orbit_reduced(
         if min(orbit, key=lambda t: t[::-1]) != subset:
             continue
         total = total + ev.summand(subset).scale(len(orbit))
-    return _finalize(spec, extract_rational(total), monomial.segres)
+    scale = n ** r if spec.g == 0 else 1  # each genus-0 summand carries n^r
+    return _finalize(spec, extract_rational(total) / scale, monomial.segres)
 
 
 def vi_integral_parallel(

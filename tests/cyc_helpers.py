@@ -1,11 +1,10 @@
-"""sigma_u and the field inverse of 1 - w^m on `Cyc`: references the tests
-check the engine's symmetries and its genus-0 weight against.  The package
-needs neither: the engine folds no sigma_u and divides by no root difference.
-The constant embedding and equality in Q[w]/Phi_n serve the tests alone too."""
+"""sigma_u and n/(1 - w^m) on `Cyc`: references the tests check the engine's
+symmetries and its genus-0 weight against.  The package needs neither: the
+engine folds no sigma_u and divides by no root difference.  The integer
+embedding and equality in Q[w]/Phi_n serve the tests alone too."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from quotcount.cyclotomic import Cyc, extract_rational, one, root_of_unity
@@ -13,7 +12,7 @@ from quotcount.errors import NotRationalError
 
 
 def galois(x: Cyc, u: int) -> Cyc:
-    """sigma_u: w -> w^u, a ring automorphism of Q[w]/(w^n - 1) for u prime
+    """sigma_u: w -> w^u, a ring automorphism of Z[w]/(w^n - 1) for u prime
     to n.  Coefficient k moves to position u*k mod n."""
     n = x.order
     if gcd(u, n) != 1:
@@ -25,8 +24,8 @@ def galois(x: Cyc, u: int) -> Cyc:
 
 
 def inv_one_minus_root(n: int, m: int) -> Cyc:
-    """(1 - w^m)^(-1) in the field Q[w]/Phi_n: (1/n) times the product of the
-    other factors 1 - w^k, k in [1, n-1], since the product of all of them is n."""
+    """n/(1 - w^m) in the field Q[w]/Phi_n: the product of the other factors
+    1 - w^k, k in [1, n-1], since the product of all of them is n."""
     m %= n
     if m == 0:
         raise ZeroDivisionError("1 - w^0 = 0 is not invertible")
@@ -34,11 +33,11 @@ def inv_one_minus_root(n: int, m: int) -> Cyc:
     for k in range(1, n):
         if k != m:
             acc = acc * (one(n) - root_of_unity(n, k))
-    return acc.scale(Fraction(1, n))
+    return acc
 
 
-def rational(n: int, value) -> Cyc:
-    """Embed a rational number as the constant element of order n."""
+def rational(n: int, value: int) -> Cyc:
+    """Embed an integer as the constant element of order n."""
     return Cyc(n, [value] + [0] * (n - 1))
 
 
