@@ -23,7 +23,7 @@ from .errors import (
     QuotcountError,
     RegimeViolationError,
 )
-from .qh_oracle import Partition, QClass, fixed_domain_count_g0, pieri_multiply
+from .qh_oracle import Partition, QClass, fixed_domain_count_g0
 from .symfunc import (
     Insertion,
     Monomial,

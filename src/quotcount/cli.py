@@ -77,8 +77,6 @@ def parse_insertions(text: str) -> tuple[tuple[str, int, int], ...]:
             exponent = int(exp_text) if exp_text else 1
         except ValueError:
             raise ValueError(f"bad insertion {piece!r}: index and exponent must be integers")
-        if index < 1 or exponent < 0:
-            raise ValueError(f"bad insertion {piece!r}: index >= 1 and exponent >= 0 required")
         out.append((kind, index, exponent))
     return tuple(out)
 

@@ -29,33 +29,32 @@ How the count is organised:
 - One Pieri row per (padded shape, index, kind, n), in one bounded
   table (`_pieri_row`): one walk over the bead moves of both kinds of
   strip, each reduced into the box in its one step, merged, zero
-  coefficients dropped.  `QClass` products and the count both read it,
-  so the module has one Pieri implementation.
+  coefficients dropped.
+- One product, `QClass.times`: a `QClass` is keyed by (padded shape,
+  q-power), and multiplying it by a special class adds up the Pieri row
+  of each of its terms.  The count multiplies only through it.
 - Largest index first.  The ring is commutative, so the count takes the
   insertions by descending index: the rows with the most strips are then
   built while the class still has few terms.
-- Two half-products paired by duality.  The insertions, in that order,
-  are dealt alternately into halves A and B (each exponent split between
-  the halves as the factors would be dealt one at a time), each
-  multiplied out from the unit.
-  The count is the coefficient of sigma_box q^d in A * B, which is
-  sum_lambda A_lambda * B_lambda^vee, with lambda^vee the complement of
-  lambda in the box.  The reason is the fundamental-class axiom (Bertram,
-  "Quantum Schubert calculus", 1997): the sigma_box q^e coefficient of
-  sigma_lambda * sigma_mu is a three-point invariant with the unit class,
-  so it is delta_(e,0) * delta_(mu,lambda^vee).  The q-powers need no
-  bookkeeping: a term's q-power is (its degree - its size) / n, and the
-  halves' degrees add up to d*n + r*(n-r), so a paired term has q^d.
+- Two `QClass` halves paired by duality.  The factors, in that order,
+  are dealt alternately into halves A and B, each multiplied out from
+  the unit.  The count is the coefficient of sigma_box q^d in A * B,
+  which is sum A_(lambda, e) * B_(lambda^vee, d - e), with lambda^vee
+  the complement of lambda in the box.  The reason is the
+  fundamental-class axiom (Bertram, "Quantum Schubert calculus", 1997):
+  the sigma_box q^e coefficient of sigma_lambda * sigma_mu is a
+  three-point invariant with the unit class, so it is
+  delta_(e,0) * delta_(mu,lambda^vee).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from operator import add, sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import QuotcountError
-from .symfunc import CHERN, SEGRE, Insertion, Monomial, as_monomial, check_degree
+from .symfunc import CHERN, Insertion, Monomial, as_monomial, check_degree
 
 
 class Partition(NamedTuple("Partition", [("parts", tuple[int, ...])])):
@@ -75,20 +74,9 @@ class Partition(NamedTuple("Partition", [("parts", tuple[int, ...])])):
         return sum(self.parts)
 
 
-def _strip_zeros(padded: Iterable[int]) -> tuple[int, ...]:
-    return tuple(p for p in padded if p)
-
-
 def _check_rank(r: int, n: int) -> None:
     if not 1 <= r < n:
         raise ValueError("need 1 <= r < n")
-
-
-def _check_index(r: int, kind: str, i: int) -> None:
-    if kind == CHERN and not 1 <= i <= r:
-        raise ValueError(f"special index must satisfy 1 <= i <= {r}")
-    if i < 1:
-        raise ValueError("index must be a positive integer")
 
 
 # Products revisit the same (shape, insertion) pairs many times; the
@@ -136,7 +124,7 @@ def _pieri_row(padded: tuple[int, ...], i: int, kind: str, n: int) -> tuple[tupl
 
 
 class QClass:
-    """An integer combination of (box partition, q-power) basis elements."""
+    """An integer combination of (padded box shape, q-power) basis elements."""
 
     def __init__(self, r: int, n: int, terms: dict[tuple[tuple[int, ...], int], int] | None = None):
         self.r, self.n = r, n
@@ -145,62 +133,34 @@ class QClass:
     @classmethod
     def unit(cls, r: int, n: int) -> QClass:
         _check_rank(r, n)
-        return cls(r, n, {((), 0): 1})
+        return cls(r, n, {((0,) * r, 0): 1})
 
     def coefficient(self, partition: Partition, q_power: int) -> int:
-        return self.terms.get((partition.parts, q_power), 0)
+        """The coefficient of sigma_partition q^q_power; 0 for a shape of
+        more than r rows, which no class of G(r, n) has."""
+        parts = partition.parts
+        if len(parts) > self.r:
+            return 0
+        return self.terms.get((parts + (0,) * (self.r - len(parts)), q_power), 0)
 
-    def _multiply(self, i: int, kind: str) -> QClass:
-        _check_index(self.r, kind, i)
-        result: dict[tuple[tuple[int, ...], int], int] = {}
-        for (parts, q), coeff in self.terms.items():
-            padded = parts + (0,) * (self.r - len(parts))
-            for shape, dq, c in _pieri_row(padded, i, kind, self.n):
-                key = (_strip_zeros(shape), q + dq)
-                result[key] = result.get(key, 0) + c * coeff
-        return QClass(self.r, self.n, {k: v for k, v in result.items() if v})
-
-
-def pieri_multiply(c: QClass, i: int) -> QClass:
-    """Multiply by the Chern-type special class of index i (vertical strips)."""
-    return c._multiply(i, CHERN)
-
-
-def pieri_multiply_segre(c: QClass, i: int) -> QClass:
-    """Multiply by the Segre-type class of index i (horizontal strips)."""
-    return c._multiply(i, SEGRE)
-
-
-def _half_product(r: int, n: int, powers: Sequence[tuple[Insertion, int]]) -> dict[tuple[int, ...], int]:
-    """The (insertion, exponent) powers multiplied out from the unit, in
-    order, keyed by padded shape alone.
-
-    A term's q-power is (degree so far - size) / n, so the shape fixes it.
-    Every intermediate combination of effective classes must have
-    nonnegative coefficients; a Segre index past the box reduces with
-    signs by design, so it switches the guard off.
-    """
-    effective = all(ins.kind == CHERN or ins.index <= n - r for ins, _ in powers)
-    terms = {(0,) * r: 1}
-    for ins, exp in powers:
-        for _ in range(exp):
-            grown: dict[tuple[int, ...], int] = {}
-            for shape, coeff in terms.items():
-                for new, _, c in _pieri_row(shape, ins.index, ins.kind, n):
-                    grown[new] = grown.get(new, 0) + c * coeff
-            terms = {k: v for k, v in grown.items() if v}
-            if effective and any(v < 0 for v in terms.values()):
-                raise QuotcountError(
-                    "negative structure coefficient: special-class convention broken"
-                )
-    return terms
+    def times(self, ins: Insertion) -> QClass:
+        """This class times the special class `ins`, one Pieri row per term."""
+        if ins.kind == CHERN and ins.index > self.r:
+            raise ValueError(f"special index must satisfy 1 <= i <= {self.r}")
+        i, kind, n = ins.index, ins.kind, self.n
+        grown: dict[tuple[tuple[int, ...], int], int] = {}
+        for (shape, q), coeff in self.terms.items():
+            for new, dq, c in _pieri_row(shape, i, kind, n):
+                key = new, q + dq
+                grown[key] = grown.get(key, 0) + c * coeff
+        return QClass(self.r, n, {k: v for k, v in grown.items() if v})
 
 
 def fixed_domain_count_g0(r: int, n: int, d: int, insertions: Monomial | Iterable[Insertion]) -> int:
     """Degree-d count of rational maps through the given special cycles.
 
     The coefficient of the full box at q^d in the product of the
-    insertions, read off as the pairing of two half-products (module
+    insertions, read off as the pairing of two `QClass` halves (module
     docstring).  Valid when the insertion degree equals d*n + r*(n-r).
     """
     monomial = as_monomial(insertions)
@@ -212,17 +172,19 @@ def fixed_domain_count_g0(r: int, n: int, d: int, insertions: Monomial | Iterabl
         if d == 0:
             return 1
         raise ValueError("the quantum oracle covers the point target only at d = 0")
-    _check_rank(r, n)
-    for ins in monomial.present:
-        _check_index(r, ins.kind, ins.index)
-    halves: tuple[list, list] = ([], [])
-    dealt = 0  # factors dealt so far; the next one goes to A when this is even
-    for ins, exp in sorted(monomial, key=lambda pair: pair[0].index, reverse=True):
-        halves[dealt % 2].append((ins, exp - exp // 2))
-        halves[1 - dealt % 2].append((ins, exp // 2))
-        dealt += exp
-    a, b = (_half_product(r, n, half) for half in halves)
+    # Every product of effective classes has nonnegative coefficients; a
+    # Segre index past the box reduces with signs by design.
+    effective = all(ins.kind == CHERN or ins.index <= n - r for ins in monomial.present)
+    factors = [ins for ins, exp in sorted(monomial, key=lambda pair: pair[0].index, reverse=True)
+               for _ in range(exp)]
+    halves = [QClass.unit(r, n), QClass.unit(r, n)]
+    for dealt, ins in enumerate(factors):
+        half = halves[dealt % 2] = halves[dealt % 2].times(ins)
+        if effective and any(v < 0 for v in half.terms.values()):
+            raise QuotcountError("negative structure coefficient: special-class convention broken")
+    a, b = halves
     cols = n - r
     return sum(
-        coeff * b.get(tuple(cols - p for p in reversed(shape)), 0) for shape, coeff in a.items()
+        coeff * b.terms.get((tuple(cols - p for p in reversed(shape)), d - q), 0)
+        for (shape, q), coeff in a.terms.items()
     )

@@ -50,8 +50,8 @@ def test_parse_insertions():
     assert parse_insertions("") == ()
     with pytest.raises(ValueError):
         parse_insertions("b1:2")
-    with pytest.raises(ValueError):
-        parse_insertions("a0:1")
+    # the index and exponent ranges are run()'s to refuse, as for a triple
+    assert parse_insertions("a0:1,a1:-1") == (("chern", 0, 1), ("chern", 1, -1))
 
 
 def test_lagrangian_example(capsys):
@@ -297,12 +297,37 @@ def test_batch_tolerates_malformed_records(tmp_path):
         "grassmannian"]
     assert rows[7]["error"] == {
         "type": "ValueError", "exit": EXIT_VALIDATION,
-        "message": "bad insertion 'a1:-1': index >= 1 and exponent >= 0 required"}
+        "message": "exponents must be nonnegative"}
     summary = rows[-1]
     assert summary["records"] == 8
     assert summary["ok"] == 1
     assert summary["validation_errors"] == 7
     assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("spelling", ["ins", "batch text", "batch triple"])
+@pytest.mark.parametrize("text, triple, message", [
+    ("a1:-1", ("chern", 1, -1), "exponents must be nonnegative"),
+    ("a0:1", ("chern", 0, 1), "insertion index must be a positive integer"),
+])
+def test_an_insertion_out_of_range_is_one_error_record(capsys, tmp_path, spelling, text, triple, message):
+    # Monomial and Insertion refuse the range in run(), whichever way the
+    # insertion arrives: an error record with exit 2, not an argument error.
+    base = {"mode": "grassmannian", "g": 0, "d": 0, "r": 2, "n": 4}
+    if spelling == "ins":
+        code, out = run_cli(capsys, "grassmannian", "--g", "0", "--d", "0", "--r", "2", "--n", "4",
+                            "--ins", text, "--format", "json")
+        record = last_json(out)
+    else:
+        path = tmp_path / "jobs.jsonl"
+        path.write_text(json.dumps({**base, **({"ins": text} if spelling == "batch text"
+                                               else {"insertions": [list(triple)]})}) + "\n")
+        buffer = io.StringIO()
+        code = run_batch(str(path), out=buffer)
+        record = json.loads(buffer.getvalue().splitlines()[0])
+    assert code == EXIT_VALIDATION
+    assert record["ok"] is False and record["mode"] == "grassmannian"
+    assert record["error"] == {"type": "ValueError", "message": message, "exit": EXIT_VALIDATION}
 
 
 def test_batch_survives_unknown_insertion_kind(tmp_path):

@@ -13,8 +13,6 @@ from quotcount.qh_oracle import (
     QClass,
     _pieri_row,
     fixed_domain_count_g0,
-    pieri_multiply,
-    pieri_multiply_segre,
 )
 from quotcount.symfunc import CHERN, SEGRE, chern, monomial, segre
 from quotcount.vi_engine import GrassmannSpec, vi_integral
@@ -29,20 +27,19 @@ def test_partition_validation():
 
 
 def test_unit_times_special_class():
-    c = pieri_multiply(QClass.unit(2, 4), 1)
-    assert c.terms == {((1,), 0): 1}
+    c = QClass.unit(2, 4).times(chern(1))
+    assert c.terms == {((1, 0), 0): 1}
 
 
 def test_classical_pieri_square_in_g24():
-    c = pieri_multiply(pieri_multiply(QClass.unit(2, 4), 1), 1)
-    assert c.terms == {((2,), 0): 1, ((1, 1), 0): 1}
+    c = QClass.unit(2, 4).times(chern(1)).times(chern(1))
+    assert c.terms == {((2, 0), 0): 1, ((1, 1), 0): 1}
 
 
 def test_rim_hook_appears_at_the_right_step():
     # sigma_1 * sigma_(2,1) = sigma_(2,2) + q * unit in the 2x2 box.
-    c = QClass(2, 4, {((2, 1), 0): 1})
-    c = pieri_multiply(c, 1)
-    assert c.terms == {((2, 2), 0): 1, ((), 1): 1}
+    c = QClass(2, 4, {((2, 1), 0): 1}).times(chern(1))
+    assert c.terms == {((2, 2), 0): 1, ((0, 0), 1): 1}
 
 
 def test_degree_is_conserved_through_reduction():
@@ -50,7 +47,7 @@ def test_degree_is_conserved_through_reduction():
     c = QClass.unit(2, 5)
     total = 0
     for _ in range(10):
-        c = pieri_multiply(c, 1)
+        c = c.times(chern(1))
         total += 1
         for (parts, q), coeff in c.terms.items():
             assert sum(parts) + 5 * q == total
@@ -59,27 +56,40 @@ def test_degree_is_conserved_through_reduction():
 
 def test_hook_that_does_not_fit_kills_the_term():
     # In G(2,4) the one-row shape of length 3 has rim size 3 < 4 and dies.
-    c = QClass(2, 4, {((2,), 0): 1})
-    c = pieri_multiply_segre(c, 1)  # horizontal strip: (3) and (2,1)
+    c = QClass(2, 4, {((2, 0), 0): 1}).times(segre(1))  # horizontal strip: (3) and (2,1)
     assert c.terms == {((2, 1), 0): 1}
 
 
 def test_segre_top_reduction_sign():
     # One row of length n reduces to -q for even rank: h_4 = -q in G(2,4).
-    c = pieri_multiply_segre(QClass.unit(2, 4), 4)
-    assert c.terms == {((), 1): -1}
+    assert QClass.unit(2, 4).times(segre(4)).terms == {((0, 0), 1): -1}
     # and to +q for the projective line presentation G(1,2): h_2 = q.
-    c = pieri_multiply_segre(QClass.unit(1, 2), 2)
-    assert c.terms == {((), 1): 1}
+    assert QClass.unit(1, 2).times(segre(2)).terms == {((0,), 1): 1}
 
 
 def test_eightfold_hyperplane_power_in_g24():
     # Iterating the hand computation: sigma_1^8 = 8 q sigma_(2,2) + 8 q^2.
     c = QClass.unit(2, 4)
     for _ in range(8):
-        c = pieri_multiply(c, 1)
+        c = c.times(chern(1))
     assert c.terms[((2, 2), 1)] == 8
-    assert c.terms[((), 2)] == 8
+    assert c.terms[((0, 0), 2)] == 8
+
+
+def test_coefficient_pads_the_partition():
+    c = QClass.unit(2, 4).times(chern(1)).times(chern(1))
+    assert c.coefficient(Partition((2,)), 0) == c.terms[((2, 0), 0)] == 1
+    assert c.coefficient(Partition((1, 1)), 0) == 1
+    assert c.coefficient(Partition(()), 0) == 0
+    # no class of G(2, 4) has three rows
+    assert c.coefficient(Partition((1, 1, 1)), 0) == 0
+
+
+def test_times_refuses_a_chern_index_above_the_rank():
+    with pytest.raises(ValueError, match="special index must satisfy 1 <= i <= 2"):
+        QClass.unit(2, 4).times(chern(3))
+    # a Segre index past the box is a class, reduced with signs
+    assert QClass.unit(2, 4).times(segre(3)).terms == {}
 
 
 def test_fixed_domain_counts_match_engine_anchors():
@@ -277,14 +287,16 @@ def oracle_cases(draw):
 def test_paired_count_matches_the_sequential_product(case):
     # The count sorts the insertions and pairs two half-products by
     # duality; it must equal the (box, d) coefficient of the product taken
-    # one insertion at a time, in the given order.
+    # one insertion at a time, in the given order, and the engine's sum
+    # over roots of unity.
     r, n, d, insertions = case
     c = QClass.unit(r, n)
     for ins in insertions:
-        multiply = pieri_multiply if ins.kind == CHERN else pieri_multiply_segre
-        c = multiply(c, ins.index)
+        c = c.times(ins)
     box = Partition(((n - r),) * r)
-    assert fixed_domain_count_g0(r, n, d, insertions) == c.coefficient(box, d)
+    count = fixed_domain_count_g0(r, n, d, insertions)
+    assert count == c.coefficient(box, d)
+    assert vi_integral(GrassmannSpec(r, n, 0, d), insertions).value == count
 
 
 def test_a_thousand_rows_need_no_deep_stack():

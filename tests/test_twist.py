@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quotcount import twist
 from quotcount.errors import (
@@ -214,18 +217,39 @@ def test_closed_form_projective_matches_engine_on_grid():
 
 
 def test_linear_section_consistency():
-    # A hyperplane section of projective r-space is projective (r-1)-space:
+    # k hyperplane sections of projective r-space leave projective (r-k)-space:
     # hyperplane counts there equal the plain counts on the smaller target,
-    # and both equal r^g.
-    for r, g, d in ((2, 1, 1), (3, 1, 2), (4, 2, 3), (3, 0, 1)):
-        e_twisted = d * r + (1 - g) * (r - 1)
-        spec = projective(r, g, d, (1,), e_twisted)
-        big = hypersurface_integral(spec).value
-        small_spec = GrassmannSpec(r - 1, r, g, d)
-        from quotcount.vi_engine import vi_integral
-
+    # and both equal (r-k+1)^g.
+    for r, g, d, k in ((2, 1, 1, 1), (3, 1, 2, 1), (4, 2, 3, 1), (3, 0, 1, 1),
+                       (3, 1, 2, 2), (4, 0, 1, 2), (5, 2, 3, 2), (4, 1, 1, 3), (5, 0, 2, 3)):
+        e_twisted = d * (r + 1 - k) + (1 - g) * (r - k)
+        spec = projective(r, g, d, (1,) * k, e_twisted)
+        big = (hypersurface_integral if k == 1 else complete_intersection_integral)(spec).value
+        small_spec = GrassmannSpec(r - k, r - k + 1, g, d)
         small = vi_integral(small_spec, monomial((chern(1), small_spec.virtual_dim))).value
-        assert big == small == r**g, (r, g, d)
+        assert big == small == (r - k + 1) ** g, (r, g, d, k)
+
+
+@given(st.integers(0, 3), st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+def test_quadric_sections_match_their_second_models(g, d):
+    # The quadric in P^5 = G(5, 6) is the Klein quadric G(2, 4), hyperplanes
+    # being sigma_1; the quadric in P^3 = G(3, 4) is P^1 x P^1, where a map of
+    # bidegree (a, d - a) meets k = 2a + 1 - g of the N hyperplane conditions
+    # on the first factor and N - k = 2(d - a) + 1 - g on the second, and each
+    # P^1 counts 2^g.  Below the regime d*l > 2g - 2 both are refused.
+    klein, p1p1 = (ProblemSpec(GrassmannSpec(r, r + 1, g, d), (2,), ()) for r in (5, 3))
+    if not klein.in_regime:
+        for spec in (klein, p1p1):
+            with pytest.raises(RegimeViolationError):
+                hypersurface_integral(spec)
+        return
+    e = klein.twisted_dim
+    plucker = vi_integral(GrassmannSpec(2, 4, g, d), monomial((chern(1), e))).value
+    assert hypersurface_integral(projective(5, g, d, (2,), e)).value == plucker
+    n_hyper = p1p1.twisted_dim
+    product = 4**g * sum(comb(n_hyper, k) for k in (2 * a + 1 - g for a in range(d + 1)) if k >= 0)
+    assert hypersurface_integral(projective(3, g, d, (2,), n_hyper)).value == product
 
 
 def test_b_class_vanishing_clauses():
