@@ -16,7 +16,7 @@ import sys
 import time
 from collections import Counter, namedtuple
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Container, NamedTuple, Optional, Sequence
 
 from . import qh_oracle, twist, vi_engine
 from .errors import DimensionMismatchError, QuotcountError, RegimeViolationError
@@ -196,38 +196,45 @@ MODES = tuple(RUNNERS)
 # -- request fields -----------------------------------------------------------
 
 class Field(NamedTuple):
-    """One JobRequest field: its default and how it is spelled on the command
-    line and in a batch."""
+    """One JobRequest field: its default, which modes read it and how it is
+    spelled on the command line and in a batch."""
 
-    flags: tuple[str, ...]
-    modes: tuple[str, ...]  # the subcommands that take it
+    flag: str
+    modes: tuple[str, ...]  # the modes that read it; closed-form is named with its variant
     kind: str  # a key of _KINDS
     default: object
     help: str
-    keys: tuple[str, ...] = ()  # batch spellings, when not just the field name
+    key: str = ""  # the batch key, when not the field name
     choices: tuple[str, ...] = ()  # the allowed values of a "choice" field
 
 
+# What reads a request: its mode, or closed-form and its variant.  The six
+# modes whose counts run the engine's root-of-unity sum read n, insertions
+# and workers.
+_SUM_MODES = ("grassmannian", "hypersurface", "complete-intersection", "duality-check", "b-reduce", "oracle-check")
+_PROJECTIVE, _LG24 = "closed-form projective", "closed-form lg24"
+READERS = (*_SUM_MODES, _PROJECTIVE, _LG24, "tevelev")
+
 FIELDS = {
-    "g": Field(("--g",), MODES, "int", 0, "domain curve genus"),
-    "d": Field(("--d",), MODES, "int", 0, "map degree"),
-    "r": Field(("--r",), MODES, "int", 1, "rank of the target G(r,n)"),
-    "n": Field(("--n",), MODES, "int", None, "ambient dimension of the target G(r,n)"),
-    "multidegree": Field(("--l", "--multidegree"), MODES, "ints", (),
+    "g": Field("--g", READERS, "int", 0, "domain curve genus"),
+    "d": Field("--d", READERS, "int", 0, "map degree"),
+    "r": Field("--r", (*_SUM_MODES, _PROJECTIVE, "tevelev"), "int", 1, "rank of the target G(r,n)"),
+    "n": Field("--n", _SUM_MODES, "int", None, "ambient dimension of the target G(r,n)"),
+    "multidegree": Field("--l", ("hypersurface", "complete-intersection", _PROJECTIVE, "tevelev"), "ints", (),
                          "section degrees, comma separated (e.g. 2 or 2,2)"),
-    "insertions": Field(("--ins",), MODES, "insertions", (),
-                        "insertions, e.g. a1:3,a2:1 (Chern) or s2:4 (Segre)", ("ins", "insertions")),
-    "workers": Field(("--workers",), MODES, "int", 1,
+    "insertions": Field("--ins", _SUM_MODES, "insertions", (),
+                        "insertions, e.g. a1:3,a2:1 (Chern) or s2:4 (Segre)", "ins"),
+    "workers": Field("--workers", _SUM_MODES, "int", 1,
                      "upper bound on the worker processes for the subset sum"),
-    "path": Field(("--path",), MODES, "choice", "closed", "hypersurface evaluation path",
+    "path": Field("--path", ("hypersurface",), "choice", "closed", "hypersurface evaluation path",
                   choices=("closed", "phi", "both")),
-    "variant": Field(("--variant",), ("closed-form",), "choice", "projective", "closed-form target",
+    "variant": Field("--variant", (_PROJECTIVE, _LG24), "choice", "projective", "closed-form target",
                      choices=("projective", "lg24")),
-    "b_pairs": Field(("--pairs",), ("b-reduce",), "ints", (),
+    "b_pairs": Field("--pairs", ("b-reduce",), "ints", (),
                      "odd-class pair indices, comma separated (each j pairs j with j+g)"),
-    "t": Field(("--t",), ("tevelev",), "int", None, "number of point conditions (derived when omitted)"),
-    "m1": Field(("--m1",), ("closed-form",), "int", None, "first-Chern exponent (lg24)"),
-    "m2": Field(("--m2",), ("closed-form",), "int", None, "second-Chern exponent (lg24)"),
+    "t": Field("--t", ("tevelev",), "int", None, "number of point conditions (derived when omitted)"),
+    "m1": Field("--m1", (_LG24,), "int", None, "first-Chern exponent"),
+    "m2": Field("--m2", (_LG24,), "int", None, "second-Chern exponent"),
 }
 
 # A counting job: its mode, then one value per FIELDS entry in FIELDS order.
@@ -279,24 +286,31 @@ _KINDS = {
         parse_insertions(value) if isinstance(value, str) else tuple(map(tuple, value)))),
     "choice": Kind(_choice, str, None),
 }
-# (name, check, default) of each JobRequest field after `mode`, in field order
-_FIELD_CHECKS = tuple((name, _KINDS[f.kind].check, f.default) for name, f in FIELDS.items())
+# (name, check, default, modes) of each JobRequest field after `mode`, in field order
+_FIELD_CHECKS = tuple((name, _KINDS[f.kind].check, f.default, f.modes) for name, f in FIELDS.items())
 
 
 def _check_fields(req: JobRequest) -> None:
-    """Refuse a field whose value is not of its FIELDS kind.  A field left at
-    JobRequest's default (None included) is valid as it is."""
-    for (name, check, default), value in zip(_FIELD_CHECKS, req[1:]):
+    """Refuse a field whose value is not of its FIELDS kind, or that the
+    request's mode (closed-form: with its variant) does not read and that
+    differs from its default.  A field left at JobRequest's default (None
+    included) is valid as it is."""
+    reader = req.mode
+    if reader == "closed-form":
+        _choice(req.variant, "variant")  # before the variant names the reader
+        reader = f"closed-form {req.variant}"
+    for (name, check, default, modes), value in zip(_FIELD_CHECKS, req[1:]):
         if value is not default:
             try:
                 check(value, name)
             except TypeError:  # not a sequence, or an insertion that is not a triple
                 raise ValueError(f"{name} is malformed: {value!r}") from None
+            if reader not in modes and value != default:
+                raise ValueError(f"mode {reader} does not read {name}")
 
 
-# batch spelling -> (field name, shape conversion or None), in FIELDS order
-_BATCH_KEYS = {key: (name, _KINDS[f.kind].from_json)
-               for name, f in FIELDS.items() for key in f.keys or (name,)}
+# batch key -> (field name, shape conversion or None), in FIELDS order
+_BATCH_KEYS = {f.key or name: (name, _KINDS[f.kind].from_json) for name, f in FIELDS.items()}
 _RECORD_KEYS = frozenset(_BATCH_KEYS) | {"mode"}
 
 
@@ -309,8 +323,8 @@ def _request_from_record(record: object) -> JobRequest:
         raise ValueError(f"batch record needs a mode from {MODES}")
     values = {}
     for key, (name, convert) in _BATCH_KEYS.items():
-        # The first spelling present wins; absent fields keep JobRequest's defaults.
-        if key in record and name not in values:
+        # absent fields keep JobRequest's defaults
+        if key in record:
             try:
                 values[name] = record[key] if convert is None else convert(record[key])
             except TypeError:  # not iterable, or an insertion that is not
@@ -318,45 +332,53 @@ def _request_from_record(record: object) -> JobRequest:
     return JobRequest(mode=record["mode"], **values)
 
 
-def _read_words(words: Sequence[str], flags: dict[str, str]) -> tuple[dict[str, str], list[str]]:
-    """({name: value text}, the other words) of `--flag value` or `--flag=value`
-    words, the last given winning; `flags` maps each flag taken to its name.
-    An unknown flag, a missing value or an unknown --format is a ValueError."""
+def _read_words(words: Sequence[str], flags: Container[str]) -> tuple[dict[str, str], list[str], str]:
+    """({flag: value text}, the other words, the output format) of
+    `--flag value` or `--flag=value` words, the last given winning; `flags`
+    are the flags taken besides --format.  An unknown flag, a missing value
+    or an unknown --format is a ValueError."""
     values, bare, rest = {}, [], iter(words)
     for word in rest:
         flag, eq, text = word.partition("=")
         if not word.startswith("--"):
             bare.append(word)
             continue
-        if flag not in flags:
+        if flag not in flags and flag != "--format":
             raise ValueError(f"unrecognized argument {flag}")
         if not eq:
             text = next(rest, "--")
             if text.startswith("--"):
                 raise ValueError(f"{flag} expects a value")
-        values[flags[flag]] = text
-    if values.get("format", "text") not in ("json", "text"):
-        raise ValueError(f"--format must be json or text, got {values['format']!r}")
-    return values, bare
+        values[flag] = text
+    fmt = values.pop("--format", "text")
+    if fmt not in ("json", "text"):
+        raise ValueError(f"--format must be json or text, got {fmt!r}")
+    return values, bare, fmt
+
+
+# flag -> (batch key, command-line reader), for every mode alike
+_FLAGS = {f.flag: (f.key or name, _KINDS[f.kind].from_text) for name, f in FIELDS.items()}
 
 
 def _request_from_argv(mode: str, words: Sequence[str]) -> tuple[JobRequest, str]:
     """A mode's words as a batch record, read by `_request_from_record`, and
-    the output format.  A word the mode does not take or a number that is not
-    an integer is a ValueError; run() checks the rest."""
-    flags = {flag: name for name, f in FIELDS.items() if mode in f.modes for flag in f.flags}
-    values, bare = _read_words(words, {**flags, "--format": "format"})
+    the output format.  An unknown flag or a number that is not an integer
+    is a ValueError; run() checks the rest, a flag the mode does not read
+    included."""
+    values, bare, fmt = _read_words(words, _FLAGS)
     if bare:
         raise ValueError(f"unrecognized arguments: {' '.join(bare)}")
-    fmt = values.pop("format", "text")
-    # One job from the command line may use every CPU; a request built
-    # in code or read from a batch defaults to one worker.
-    record = {"mode": mode, "workers": os.cpu_count() or 1}
-    for name, text in values.items():
+    record = {"mode": mode}
+    if mode in FIELDS["workers"].modes:
+        # One job from the command line may use every CPU; a request built
+        # in code or read from a batch defaults to one worker.
+        record["workers"] = os.cpu_count() or 1
+    for flag, text in values.items():
+        key, from_text = _FLAGS[flag]
         try:
-            record[name] = _KINDS[FIELDS[name].kind].from_text(text)
+            record[key] = from_text(text)
         except ValueError:
-            raise ValueError(f"invalid {name} value: {text!r}") from None
+            raise ValueError(f"invalid {key} value: {text!r}") from None
     return _request_from_record(record), fmt
 
 
@@ -366,14 +388,14 @@ def run(req: JobRequest) -> dict:
     record = {"schema": SCHEMA, "mode": req.mode, "ok": True, "stats": {}}
     started = time.perf_counter()
     try:
+        if req.mode not in MODES:
+            raise ValueError(f"unknown mode {req.mode!r}")
         _check_fields(req)
         if req.workers < 1:
             raise ValueError("workers must be a positive integer")
         # the product of the request's insertions; every mode refuses an
         # unknown kind, an index below 1 or a negative exponent here
         monomial = Monomial((Insertion(kind, i), x) for kind, i, x in req.insertions)
-        if req.mode not in MODES:
-            raise ValueError(f"unknown mode {req.mode!r}")
         count = RUNNERS[req.mode](req, monomial, record)
         # str() refuses a count too long to print with ValueError: a record of
         # its own, so the value is built before anything is written
@@ -608,13 +630,13 @@ def _usage() -> str:
     """The help text, read off MODES and FIELDS."""
     lines = ["usage: quotcount MODE [--flag VALUE | --flag=VALUE ...] [--format {json,text}]",
              "       quotcount batch FILE",
-             "       quotcount preset [NAME] [--all] [--format {json,text}]",
+             "       quotcount preset [NAME | --all] [--format {json,text}]",
              f"modes: {', '.join(MODES)}",
-             "flags (--workers defaults to the CPU count):"]
-    for name, f in FIELDS.items():
-        value = "{%s}" % ",".join(f.choices) if f.choices else f.flags[-1][2:].upper()
-        only = "" if f.modes == MODES else f" ({', '.join(f.modes)} only)"
-        lines.append(f"  {', '.join(f.flags)} {value}".ljust(30) + f"  {f.help}{only}")
+             "flags, with the modes that read them (--workers defaults to the CPU count):"]
+    for f in FIELDS.values():
+        value = "{%s}" % ",".join(f.choices) if f.choices else f.flag[2:].upper()
+        only = "" if f.modes == READERS else f" ({', '.join(f.modes)} only)"
+        lines.append(f"  {f.flag} {value}".ljust(30) + f"  {f.help}{only}")
     return "\n".join(lines)
 
 
@@ -633,9 +655,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise ValueError("batch takes one FILE")
             handle = open(words[0], "rb")
         elif command == "preset":
-            values, names = _read_words([w for w in words if w != "--all"], {"--format": "format"})
-            if len(names) > 1 or not PRESETS.keys() >= set(names):
-                raise ValueError(f"unknown preset {' '.join(names)!r}")
+            run_all = "--all" in words
+            _, names, fmt = _read_words([w for w in words if w != "--all"], ())
+            if len(names) + run_all > 1:
+                raise ValueError("preset takes one NAME or --all")
+            if names and names[0] not in PRESETS:
+                raise ValueError(f"unknown preset {names[0]!r}")
         else:
             request, fmt = _request_from_argv(command, words)
     except (ValueError, OSError) as exc:
@@ -647,7 +672,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _run_lines(handle, sys.stdout)
 
     if command == "preset":
-        run_all = "--all" in words
         if not names and not run_all:
             for name, (about, _, _) in PRESETS.items():
                 print(f"{name}: {about}")
@@ -656,7 +680,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for name in PRESETS if run_all else names:
             record, expected, matched = run_preset(name)
             record.update(preset=name, expected=expected, matched=matched)
-            if values.get("format") == "json":
+            if fmt == "json":
                 print(_encode(record))
             else:
                 shown = record.get("value", {}).get("exact", "error")

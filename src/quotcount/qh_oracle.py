@@ -55,6 +55,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import QuotcountError
 from .symfunc import CHERN, Insertion, Monomial, as_monomial, check_degree
+from .vi_engine import GrassmannSpec
 
 
 class Partition(NamedTuple("Partition", [("parts", tuple[int, ...])])):
@@ -161,12 +162,11 @@ def fixed_domain_count_g0(r: int, n: int, d: int, insertions: Monomial | Iterabl
 
     The coefficient of the full box at q^d in the product of the
     insertions, read off as the pairing of two `QClass` halves (module
-    docstring).  Valid when the insertion degree equals d*n + r*(n-r).
+    docstring).  The insertion degree must equal the `virtual_dim` of
+    `GrassmannSpec(r, n, 0, d)`, which refuses the rank and the degree.
     """
     monomial = as_monomial(insertions)
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    check_degree(monomial, d * n + r * (n - r), "genus-0 virtual dimension")
+    check_degree(monomial, GrassmannSpec(r, n, 0, d).virtual_dim, "genus-0 virtual dimension")
     if r == n:
         # Point target: a single constant map, no conditions to impose.
         if d == 0:

@@ -3,7 +3,9 @@ from __future__ import annotations
 import io
 import json
 import os
+import pathlib
 import re
+import shlex
 import time
 import tracemalloc
 
@@ -16,7 +18,9 @@ from quotcount.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_VALIDATION,
+    FIELDS,
     PRESETS,
+    READERS,
     JobRequest,
     _request_from_argv,
     _request_from_record,
@@ -321,7 +325,7 @@ def test_an_insertion_out_of_range_is_one_error_record(capsys, tmp_path, spellin
     else:
         path = tmp_path / "jobs.jsonl"
         path.write_text(json.dumps({**base, **({"ins": text} if spelling == "batch text"
-                                               else {"insertions": [list(triple)]})}) + "\n")
+                                               else {"ins": [list(triple)]})}) + "\n")
         buffer = io.StringIO()
         code = run_batch(str(path), out=buffer)
         record = json.loads(buffer.getvalue().splitlines()[0])
@@ -333,7 +337,7 @@ def test_an_insertion_out_of_range_is_one_error_record(capsys, tmp_path, spellin
 def test_batch_survives_unknown_insertion_kind(tmp_path):
     path = tmp_path / "bogus.jsonl"
     path.write_text(
-        '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "insertions": [["bogus", 1, 3]]}\n'
+        '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": [["bogus", 1, 3]]}\n'
         '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:3"}\n'
     )
     buffer = io.StringIO()
@@ -374,9 +378,9 @@ def test_batch_refuses_non_integer_fields(tmp_path):
         '{"mode": "grassmannian", "g": true, "d": 1, "r": 2, "n": 3, "ins": "a1:3"}',
         '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": "3", "ins": "a1:3"}',
         '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, '
-        '"insertions": [["chern", 2, -4], ["chern", 1, 3]]}',
-        '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "insertions": [["chern", 1, 3.0]]}',
-        '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "insertions": [["chern", 1, -1]]}',
+        '"ins": [["chern", 2, -4], ["chern", 1, 3]]}',
+        '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": [["chern", 1, 3.0]]}',
+        '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": [["chern", 1, -1]]}',
         '{"mode": "tevelev", "g": 1, "d": 2, "r": 5, "multidegree": [2.0]}',
         '{"mode": "closed-form", "variant": "lg24", "g": 0, "d": 1, "m1": 6, "m2": false}',
     ]
@@ -465,10 +469,10 @@ def test_batch_refuses_bad_workers_path_and_variant(tmp_path):
 
 @pytest.mark.parametrize("field, message", [
     ('"ins": 5', "insertions is malformed: 5"),
-    ('"insertions": [5]', "insertions is malformed: [5]"),
+    ('"ins": [5]', "insertions is malformed: [5]"),
     ('"multidegree": 1', "multidegree is malformed: 1"),
     ('"b_pairs": 1', "b_pairs is malformed: 1"),
-    ('"insertions": [[1, 2]]', "insertions is malformed: ((1, 2),)"),
+    ('"ins": [[1, 2]]', "insertions is malformed: ((1, 2),)"),
 ])
 def test_a_malformed_batch_field_is_a_value_error_that_names_it(tmp_path, field, message):
     line = '{"mode": "b-reduce", "g": 1, "d": 1, "r": 2, "n": 3, %s}' % field
@@ -647,6 +651,14 @@ def _ins_text(request):
     return ",".join(f"{'a' if kind == 'chern' else 's'}{i}:{e}" for kind, i, e in request.insertions)
 
 
+def _batch_record(request):
+    """A request as a batch line's object, every field written: JSON turns
+    the tuples into lists and None into null, and `ins` holds triples."""
+    record = json.loads(json.dumps(request._asdict()))
+    record["ins"] = record.pop("insertions")
+    return record
+
+
 def _argv(request):
     """A preset request spelled as command-line arguments, by hand."""
     argv = [request.mode, "--g", str(request.g), "--d", str(request.d), "--r", str(request.r),
@@ -677,20 +689,17 @@ def test_presets_parse_alike_from_argv_and_batch_records():
         mode, *words = _argv(request)
         from_argv, fmt = _request_from_argv(mode, words)
         assert fmt == "text"
-        # JSON turns the tuples into lists and None into null
-        record = json.loads(json.dumps(request._asdict()))
-        ins_record = {key: value for key, value in record.items() if key != "insertions"}
-        ins_record["ins"] = _ins_text(request)
+        record = _batch_record(request)
         assert from_argv == request, name
         assert _request_from_record(record) == request, name
-        assert _request_from_record(ins_record) == request, name
+        assert _request_from_record({**record, "ins": _ins_text(request)}) == request, name
 
 
 def test_every_writer_writes_the_same_record(tmp_path, capsys):
     for name, (_, request, expected) in PRESETS.items():
         assert main([*_argv(request), "--format", "json"]) == EXIT_OK
         single = last_json(capsys.readouterr().out)
-        code, rows = run_batch_lines(tmp_path, [json.dumps(request._asdict())])
+        code, rows = run_batch_lines(tmp_path, [json.dumps(_batch_record(request))])
         assert code == EXIT_OK
         assert main(["preset", name, "--format", "json"]) == EXIT_OK
         preset = last_json(capsys.readouterr().out)
@@ -763,7 +772,7 @@ def test_help_names_every_mode_and_flag(capsys, argv):
     assert captured.out.startswith("usage: quotcount") and captured.err == ""
     words = set(re.findall(r"[\w-]+", captured.out))
     assert words >= {*MODES, "batch", "preset", "--format", "--all"}
-    assert words >= {flag for field in FIELDS.values() for flag in field.flags}
+    assert words >= {field.flag for field in FIELDS.values()}
     assert words >= {value for field in FIELDS.values() for value in field.choices} == {
         "closed", "phi", "both", "projective", "lg24"}
 
@@ -779,35 +788,42 @@ def test_no_command_prints_usage_and_exits_2(capsys, argv):
 GRASSMANNIAN_ARGV = ["grassmannian", "--g", "1", "--d", "1", "--r", "2", "--n", "3", "--ins", "a1:3"]
 
 
-@pytest.mark.parametrize("argv", [
-    GRASSMANNIAN_ARGV + ["--bogus", "1"],
-    GRASSMANNIAN_ARGV + ["--variant", "lg24"],  # another mode's flag
-    GRASSMANNIAN_ARGV + ["--work", "1"],  # no abbreviations
-    GRASSMANNIAN_ARGV + ["extra"],
-    ["grassmannian", "--d", "1", "--r", "2", "--n", "3", "--ins", "a1:3", "--g"],
-    ["grassmannian", "--g", "--d", "1", "--r", "2", "--n", "3", "--ins", "a1:3"],
-    ["grassmannian", "--g", "x", "--d", "1", "--r", "2", "--n", "3", "--ins", "a1:3"],
-    ["closed-form", "--g", "0", "--d", "2", "--r", "3", "--l", "2,x"],
-    GRASSMANNIAN_ARGV + ["--ins", "b1:3"],
-    GRASSMANNIAN_ARGV + ["--format", "xml"],
-    ["preset", "--format=xml"],
-    ["preset", "lg24-g1-d2", "another"],
-    ["batch"],
-], ids=" ".join)
-def test_bad_command_line_words_are_argument_errors(capsys, argv):
+BAD_WORDS = [
+    (GRASSMANNIAN_ARGV + ["--bogus", "1"], "unrecognized argument --bogus"),
+    (GRASSMANNIAN_ARGV + ["--multidegree", "1"], "unrecognized argument --multidegree"),  # --l alone
+    (GRASSMANNIAN_ARGV + ["--work", "1"], "unrecognized argument --work"),  # no abbreviations
+    (GRASSMANNIAN_ARGV + ["extra"], "unrecognized arguments: extra"),
+    (["grassmannian", "--d", "1", "--r", "2", "--n", "3", "--ins", "a1:3", "--g"], "--g expects a value"),
+    (["grassmannian", "--g", "--d", "1", "--r", "2", "--n", "3", "--ins", "a1:3"], "--g expects a value"),
+    (["grassmannian", "--g", "x", "--d", "1", "--r", "2", "--n", "3", "--ins", "a1:3"],
+     "invalid g value: 'x'"),
+    (["closed-form", "--g", "0", "--d", "2", "--r", "3", "--l", "2,x"], "invalid multidegree value: '2,x'"),
+    (GRASSMANNIAN_ARGV + ["--ins", "b1:3"], "bad insertion 'b1:3': expected a<i>[:exp] or s<i>[:exp]"),
+    (GRASSMANNIAN_ARGV + ["--format", "xml"], "--format must be json or text, got 'xml'"),
+    (["preset", "--format=xml"], "--format must be json or text, got 'xml'"),
+    (["preset", "lg24-g1-d2", "another"], "preset takes one NAME or --all"),
+    (["preset", "p2-elliptic-3pt", "g24-euler"], "preset takes one NAME or --all"),  # both exist
+    (["preset", "--all", "g24-euler"], "preset takes one NAME or --all"),
+    (["preset", "no-such-thing"], "unknown preset 'no-such-thing'"),
+    (["batch"], "batch takes one FILE"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_WORDS, ids=[" ".join(argv) for argv, _ in BAD_WORDS])
+def test_bad_command_line_words_are_argument_errors(capsys, argv, message):
     assert main(argv) == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("argument error: ") and captured.err.count("\n") == 1
+    assert captured.err == f"argument error: {message}\n"
 
 
 def test_flag_spellings_read_alike():
     spellings = [
         ["--g", "1", "--d", "2", "--r", "2", "--n", "4", "--l", "1", "--ins", "a1:4,a2:1"],
-        ["--g=1", "--d=2", "--r=2", "--n=4", "--multidegree=1", "--ins=a1:4,a2:1"],
-        ["--n", "4", "--multidegree", "1", "--ins", "a1:4,a2:1", "--r", "2", "--d", "2", "--g", "1"],
+        ["--g=1", "--d=2", "--r=2", "--n=4", "--l=1", "--ins=a1:4,a2:1"],
+        ["--n", "4", "--l", "1", "--ins", "a1:4,a2:1", "--r", "2", "--d", "2", "--g", "1"],
         # the last one given wins
-        ["--g", "0", "--g", "1", "--d", "2", "--r", "2", "--n", "4", "--l", "3", "--multidegree", "1",
+        ["--g", "0", "--g", "1", "--d", "2", "--r", "2", "--n", "4", "--l", "3", "--l=1",
          "--ins", "a1:4,a2:1"],
     ]
     requests = {_request_from_argv("hypersurface", words) for words in spellings}
@@ -817,8 +833,9 @@ def test_flag_spellings_read_alike():
         mode="hypersurface", g=1, d=2, r=2, n=4, multidegree=(1,),
         insertions=(("chern", 1, 4), ("chern", 2, 1)), workers=request.workers)
     assert request.workers >= 1  # the command line defaults to the CPU count
-    assert _request_from_argv("closed-form", ["--format", "json", "--workers=-3"]) == (
-        JobRequest(mode="closed-form", workers=-3), "json")
+    # only for the modes that read workers; run() checks a given value
+    assert _request_from_argv("closed-form", ["--format", "json"]) == (JobRequest(mode="closed-form"), "json")
+    assert _request_from_argv("closed-form", ["--workers=-3"]) == (JobRequest(mode="closed-form", workers=-3), "text")
 
 
 @pytest.mark.parametrize("argv, line", [
@@ -828,13 +845,68 @@ def test_flag_spellings_read_alike():
      '"ins": "a1:4,a2:1", "path": "bogus"}'),
     (["closed-form", "--variant", "nonsense", "--g", "0", "--d", "1", "--r", "1", "--l", "2"],
      '{"mode": "closed-form", "variant": "nonsense", "g": 0, "d": 1, "r": 1, "multidegree": [2]}'),
-], ids=["path", "variant"])
+    # a flag of another mode: run() refuses it, as it refuses the batch key
+    (GRASSMANNIAN_ARGV + ["--variant", "lg24"],
+     '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:3", "variant": "lg24"}'),
+], ids=["path", "variant", "another mode's flag"])
 def test_a_bad_choice_on_the_command_line_is_its_batch_lines_record(tmp_path, capsys, argv, line):
     code, out = run_cli(capsys, *argv, "--format", "json")
     _, rows = run_batch_lines(tmp_path, [line])
     assert code == EXIT_VALIDATION
     assert without_stats(last_json(out)) == without_stats(rows[0])
     assert rows[0]["error"]["type"] == "ValueError" and argv[-2][2:] in rows[0]["error"]["message"]
+
+
+# One valid request per reader: a mode, or closed-form with its variant.
+READER_REQUESTS = {
+    **ENGINE_REQUESTS,
+    "closed-form projective": JobRequest(mode="closed-form", g=0, d=1, r=1, multidegree=(2,)),
+    "closed-form lg24": JobRequest(mode="closed-form", variant="lg24", g=0, d=1, m1=6, m2=0),
+    "tevelev": JobRequest(mode="tevelev", g=1, d=2, r=5, multidegree=(2,)),
+}
+# a well-typed value other than the default of each field some reader does not read
+OTHER_VALUES = dict(r=2, n=4, multidegree=(2,), insertions=(("chern", 1, 1),), workers=2, path="both",
+                    variant="lg24", b_pairs=(1,), t=1, m1=1, m2=1)
+UNREAD = [(reader, name) for reader in READERS for name, field in FIELDS.items() if reader not in field.modes]
+
+
+def _words(request):
+    """A request's fields that differ from their defaults as command-line words, read off FIELDS."""
+    words = [request.mode]
+    for name, field in FIELDS.items():
+        value = getattr(request, name)
+        if value != field.default:
+            text = (_ins_text(request) if name == "insertions"
+                    else ",".join(map(str, value)) if isinstance(value, tuple) else str(value))
+            words += [field.flag, text]
+    return words
+
+
+def test_each_reader_has_a_valid_request():
+    assert set(READER_REQUESTS) == set(READERS)
+    assert all(run(request_)["ok"] for request_ in READER_REQUESTS.values())
+
+
+@pytest.mark.parametrize("reader, name", UNREAD, ids=map(" ".join, UNREAD))
+def test_a_field_its_mode_does_not_read_is_refused(tmp_path, capsys, reader, name):
+    # one rule in run(): code, command-line words and a batch line get one record
+    request_ = READER_REQUESTS[reader]._replace(**{name: OTHER_VALUES[name]})
+    code, out = run_cli(capsys, *_words(request_), "--format", "json")
+    line = {"mode": request_.mode, **{field.key or key: getattr(request_, key)
+                                      for key, field in FIELDS.items() if getattr(request_, key) != field.default}}
+    batch_code, rows = run_batch_lines(tmp_path, [json.dumps(line)])
+    assert code == batch_code == EXIT_VALIDATION
+    expected = {"schema": "quotcount.result/1", "mode": request_.mode, "ok": False, "error": {
+        "type": "ValueError", "message": f"mode {reader} does not read {name}", "exit": EXIT_VALIDATION}}
+    for record in (run(request_), last_json(out), rows[0]):
+        assert without_stats(record) == expected
+
+
+def test_a_field_has_one_batch_key(tmp_path):
+    line = '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "insertions": [["chern", 1, 3]]}'
+    code, rows = run_batch_lines(tmp_path, [line])
+    assert code == EXIT_VALIDATION and rows[0]["error"] == {
+        "type": "ValueError", "message": "unknown batch fields: ['insertions']", "exit": EXIT_VALIDATION}
 
 
 def test_batch_tevelev_zero_degree_is_a_validation_error(tmp_path):
@@ -982,6 +1054,29 @@ def test_console_entry_point_runs():
     assert json.loads(proc.stdout.strip().splitlines()[-1])["value"]["exact"] == "3"
 
 
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(heading, language):
+    """The lines of the first `language` code block after `heading` in README.md."""
+    text = README.read_text()
+    text = text[text.index(f"\n{heading}\n"):]
+    start = text.index(f"```{language}\n") + len(language) + 4
+    return text[start:text.index("```", start)].splitlines()
+
+
+@pytest.mark.parametrize("line", _readme_block("## CLI", "sh"))
+def test_each_readme_command_line_runs(capsys, line):
+    program, *argv = shlex.split(line)
+    assert program == "quotcount" and main(argv) == EXIT_OK
+
+
+def test_the_readme_batch_runs(tmp_path):
+    lines = _readme_block("### Batches", "json")
+    code, rows = run_batch_lines(tmp_path, lines)
+    assert len(lines) == rows[-1]["ok"] == 2 and code == EXIT_OK
+
+
 def test_presets_all_reproduce_expected_values():
     for name in PRESETS:
         record, expected, matched = run_preset(name)
@@ -997,11 +1092,6 @@ def test_preset_cli_list_and_run(capsys):
     assert code == EXIT_OK
     record = last_json(out)
     assert record["matched"] is True and record["expected"] == "24"
-
-
-def test_unknown_preset(capsys):
-    code = main(["preset", "no-such-thing"])
-    assert code == EXIT_VALIDATION
 
 
 def test_run_request_directly():
@@ -1051,8 +1141,9 @@ HUGE = (("chern", 1, 5_000_000),)
      "duality requires rank < n"),
     (JobRequest(mode="b-reduce", g=1, d=1, r=2, n=3, b_pairs=(2,)), "ValueError",
      "pair indices must lie in [1, g]"),
-    # the closed forms take no insertions and expand none
-    (JobRequest(mode="closed-form", g=0, d=1, r=1, multidegree=(2,)), None, None),
+    # the closed forms read no insertions and refuse them unexpanded
+    (JobRequest(mode="closed-form", g=0, d=1, r=1, multidegree=(2,)), "ValueError",
+     "mode closed-form projective does not read insertions"),
 ])
 def test_a_huge_exponent_is_refused_before_it_is_expanded(request_, error, message):
     tracemalloc.start()
@@ -1062,12 +1153,9 @@ def test_a_huge_exponent_is_refused_before_it_is_expanded(request_, error, messa
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-    if error is None:
-        assert record["ok"] is True
-    else:
-        assert record["ok"] is False and record["error"]["type"] == error
-        assert record["error"]["message"].startswith(message)
-        assert record["error"]["exit"] == EXIT_VALIDATION
+    assert record["ok"] is False and record["error"]["type"] == error
+    assert record["error"]["message"].startswith(message)
+    assert record["error"]["exit"] == EXIT_VALIDATION
 
 
 G23, G24 = GrassmannSpec(2, 3, 1, 1), GrassmannSpec(2, 4, 1, 2)

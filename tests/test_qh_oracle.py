@@ -173,8 +173,10 @@ def cold_oracle():
 def test_oracle_refusals():
     with pytest.raises(ValueError, match="special index must satisfy 1 <= i <= 2"):
         fixed_domain_count_g0(2, 4, 1, [chern(3)] + [chern(1)] * 5)
-    with pytest.raises(ValueError, match="need 1 <= r < n"):
-        fixed_domain_count_g0(0, 3, 0, ())
+    # GrassmannSpec refuses the rank before the degree is compared
+    for r, n in ((0, 3), (5, 4)):
+        with pytest.raises(ValueError, match=r"rank must satisfy 1 <= r <= n"):
+            fixed_domain_count_g0(r, n, 0, ())
     with pytest.raises(ValueError):
         fixed_domain_count_g0(3, 3, 1, [chern(1)] * 3)
     with pytest.raises(ValueError):
