@@ -42,17 +42,11 @@ def _value_fields(value: Fraction) -> dict:
     except OverflowError:
         approx = None
     return {
-        "exact": _exact_str(value),
+        "exact": str(value),
         "numerator": str(value.numerator),
         "denominator": str(value.denominator),
         "float_approx": approx,
     }
-
-
-def _exact_str(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _error(exc: BaseException, code: int) -> dict:
@@ -115,8 +109,8 @@ def _hypersurface(req: JobRequest, monomial: Monomial, record: dict) -> VirtualC
         _section(req, monomial, record), req.workers, record["stats"])
     if req.path != "closed":
         record["paths"] = {
-            "closed": _exact_str(closed.value),
-            "phi_expansion": _exact_str(phi.value),
+            "closed": str(closed.value),
+            "phi_expansion": str(phi.value),
             "agree": agree,
         }
     return phi if req.path == "phi" else closed
@@ -141,8 +135,8 @@ def _duality_check(req: JobRequest, monomial: Monomial, record: dict) -> Virtual
     # the Chern side's target; the engine builds its Segre mirror
     report = vi_engine.duality_check(_target(req, monomial, record), monomial, req.workers, record["stats"])
     record["duality"] = {
-        "chern_side": _exact_str(report.chern_side.value),
-        "segre_side": _exact_str(report.segre_side.value),
+        "chern_side": str(report.chern_side.value),
+        "segre_side": str(report.segre_side.value),
         "equal": report.equal,
     }
     return report.chern_side
@@ -158,8 +152,8 @@ def _tevelev(req: JobRequest, monomial: Monomial, record: dict) -> VirtualCount:
         raise ValueError("tevelev requires a single section degree (--l)")
     report = twist.tevelev_compare(req.g, req.d, req.r, req.multidegree[0], req.t)
     record["tevelev"] = {
-        "point_count": _exact_str(report.point_count.value),
-        "implied_tevelev": _exact_str(report.implied_tevelev),
+        "point_count": str(report.point_count.value),
+        "implied_tevelev": str(report.implied_tevelev),
         "tevelev_is_integer": report.tevelev_is_integer,
         "t": report.t,
     }
@@ -173,7 +167,7 @@ def _oracle_check(req: JobRequest, monomial: Monomial, record: dict) -> VirtualC
     count = vi_engine.vi_integral(spec, monomial, req.workers, record["stats"])
     oracle_value = qh_oracle.fixed_domain_count_g0(req.r, spec.n, req.d, monomial)
     record["oracle"] = {
-        "engine": _exact_str(count.value),
+        "engine": str(count.value),
         "oracle": str(oracle_value),
         "equal": count.value == oracle_value,
     }

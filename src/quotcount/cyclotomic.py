@@ -11,8 +11,8 @@ polynomial of a primitive root), so the field Q[w]/Phi_n enters only
 there.
 
 `Cyc` serves the reference route only: the evaluator
-`vi_engine._Evaluator`, the `symfunc` prefix tables it calls, and the
-reduction modulo Phi_n.  The engine builds no `Cyc`.
+`vi_engine._Evaluator`, the e/h recurrence `symfunc.symmetric_prefix` it
+calls, and the reduction modulo Phi_n.  The engine builds no `Cyc`.
 
 >>> w = root_of_unity(4, 1)
 >>> (w * w).coeffs

@@ -2,15 +2,16 @@
 
 Incidence conditions enter the counting sums through two families of
 symmetric polynomials evaluated at tuples of roots of unity: e_i for
-Chern-type insertions and h_i for Segre-type insertions.  The two are
-exchanged (up to sign of the arguments) when a rank-r problem is traded
-for its rank-(n-r) mirror: e_i of a tuple equals h_i of the negated
-complementary tuple.
+Chern-type insertions and h_i for Segre-type insertions, both read off
+one recurrence, `symmetric_prefix`.  The two are exchanged (up to sign of
+the arguments) when a rank-r problem is traded for its rank-(n-r) mirror:
+e_i of a tuple equals h_i of the negated complementary tuple.
 
 A product of incidence classes is a `Monomial` of (Insertion, exponent)
-pairs.  Every count takes one, or a flat iterable that `as_monomial`
-counts into one, and reads its degree and exponents from it: no power of
-an insertion is written out one factor at a time.
+pairs; `monomial` is its varargs spelling.  Every count takes one, or a
+flat iterable that `as_monomial` counts into one, and reads its degree and
+exponents from it: no power of an insertion is written out one factor at
+a time.
 """
 
 from __future__ import annotations
@@ -45,14 +46,9 @@ def segre(i: int) -> Insertion:
     return Insertion(SEGRE, i)
 
 
-def monomial(*pairs: tuple[Insertion, int]) -> tuple[Insertion, ...]:
-    """Expand (insertion, exponent) pairs into a flat insertion tuple."""
-    out: list[Insertion] = []
-    for ins, exp in pairs:
-        if exp < 0:
-            raise ValueError("exponents must be nonnegative")
-        out.extend([ins] * exp)
-    return tuple(out)
+def monomial(*pairs: tuple[Insertion, int]) -> Monomial:
+    """The product of the (insertion, exponent) pairs, as one `Monomial`."""
+    return Monomial(pairs)
 
 
 class Monomial(tuple):
@@ -110,31 +106,21 @@ def check_degree(insertions: Monomial, expected: int, what: str) -> None:
         raise DimensionMismatchError(f"{what} is {expected}, but the insertion degree is {degree}")
 
 
-def elementary_prefix(tup: Sequence[Cyc], kmax: int) -> list[Cyc]:
-    """[e_0, ..., e_kmax] of the tuple, by expanding prod(1 + t*z_j)."""
+def symmetric_prefix(kind: str, tup: Sequence[Cyc], kmax: int) -> list[Cyc]:
+    """[e_0, ..., e_kmax] of the tuple for CHERN, [h_0, ..., h_kmax] for SEGRE.
+
+    One variable z joins at a time: e_k += z * e_(k-1) for k descending (the
+    old e_(k-1); e_k is 0 above the variables taken), h_k += z * h_(k-1) for
+    k ascending (the new one), so each step is a product by z.
+    """
     if not tup:
         raise ValueError("cannot infer the root order from an empty tuple")
     n = tup[0].order
-    es = [one(n)] + [zero(n)] * kmax
-    filled = 0
-    for z in tup:
-        filled = min(filled + 1, kmax)
-        for k in range(filled, 0, -1):
-            es[k] = es[k] + es[k - 1] * z
-    return es
-
-
-def homogeneous_prefix(tup: Sequence[Cyc], kmax: int) -> list[Cyc]:
-    """[h_0, ..., h_kmax], adding one variable z at a time: h_m += z * h_(m-1)
-    for m ascending, so each step is a product by z (a rotation for a root)."""
-    if not tup:
-        raise ValueError("cannot infer the root order from an empty tuple")
-    n = tup[0].order
-    hs = [one(n)] + [zero(n)] * kmax
-    for z in tup:
-        for m in range(1, kmax + 1):
-            hs[m] = hs[m] + z * hs[m - 1]
-    return hs
+    values = [one(n)] + [zero(n)] * kmax
+    for taken, z in enumerate(tup, 1):
+        for k in range(min(taken, kmax), 0, -1) if kind == CHERN else range(1, kmax + 1):
+            values[k] = values[k] + z * values[k - 1]
+    return values
 
 
 def elementary(i: int, tup: Sequence[Cyc]) -> Cyc:
@@ -145,11 +131,11 @@ def elementary(i: int, tup: Sequence[Cyc]) -> Cyc:
         raise ValueError("cannot infer the root order from an empty tuple")
     if i > len(tup):
         return zero(tup[0].order)
-    return elementary_prefix(tup, i)[i]
+    return symmetric_prefix(CHERN, tup, i)[i]
 
 
 def complete_homogeneous(i: int, tup: Sequence[Cyc]) -> Cyc:
     """h_i of the tuple, defined for every i >= 0."""
     if i < 0:
         raise ValueError("index must be nonnegative")
-    return homogeneous_prefix(tup, i)[i]
+    return symmetric_prefix(SEGRE, tup, i)[i]

@@ -147,7 +147,7 @@ def hypersurface_both_paths(spec: ProblemSpec, workers: int = 1,
     A single section degree is refused first, before the section's own checks.
     """
     if len(spec.multidegree) != 1:
-        raise ValueError("hypersurface_integral expects exactly one section degree")
+        raise ValueError(f"a hypersurface has exactly one section degree, got {spec.multidegree}")
     closed, raw = _section_count(spec, workers, stats)
     phi = VirtualCount(raw * _phi_scalar(spec), closed.advisory)
     return closed, phi, closed.value == phi.value

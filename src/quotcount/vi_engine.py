@@ -84,7 +84,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from . import symfunc
 from .cyclotomic import Cyc, extract_rational, one, root_of_unity, zero
 from .errors import NonIntegralError, QuotcountError
-from .symfunc import SEGRE, Insertion, Monomial, as_monomial, check_degree
+from .symfunc import CHERN, SEGRE, Insertion, Monomial, as_monomial, check_degree
 
 
 class Enumerativity(enum.Enum):
@@ -293,11 +293,10 @@ class _Evaluator:
 
     def insertion_product(self, tup: list[Cyc]) -> Cyc:
         acc = one(self.n)
-        for powers, prefix in ((self.cherns, symfunc.elementary_prefix),
-                               (self.segres, symfunc.homogeneous_prefix)):
+        for kind, powers in ((CHERN, self.cherns), (SEGRE, self.segres)):
             if powers:
                 # powers are (index, exponent) pairs sorted by index
-                values = prefix(tup, powers[-1][0])
+                values = symfunc.symmetric_prefix(kind, tup, powers[-1][0])
                 for i, exp in powers:
                     acc = acc * (values[i] if exp == 1 else values[i] ** exp)
         return acc

@@ -31,7 +31,7 @@ from quotcount.cli import (
     run_preset,
 )
 from quotcount.errors import DimensionMismatchError
-from quotcount.symfunc import Monomial, chern
+from quotcount.symfunc import Monomial, chern, monomial
 from quotcount.twist import BClassWord, ProblemSpec
 from quotcount.vi_engine import GrassmannSpec
 
@@ -397,6 +397,24 @@ def test_batch_refuses_non_integer_fields(tmp_path):
     assert code == EXIT_VALIDATION
 
 
+def test_a_batch_insertion_with_a_non_integer_exponent_is_one_error_record(tmp_path):
+    line = '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:x"}'
+    code, rows = run_batch_lines(tmp_path, [line])
+    assert code == EXIT_VALIDATION
+    assert rows[0]["ok"] is False and rows[0]["mode"] == "grassmannian"
+    assert rows[0]["error"] == {"type": "ValueError", "exit": EXIT_VALIDATION,
+                                "message": "bad insertion 'a1:x': index and exponent must be integers"}
+
+
+def test_blank_and_comment_batch_lines_are_skipped(tmp_path):
+    good = '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:3"}'
+    code, rows = run_batch_lines(tmp_path, ["", "   ", "# a comment", good, "\t# an indented comment", ""])
+    assert code == EXIT_OK
+    assert [row.get("summary", False) for row in rows] == [False, True]
+    assert rows[0]["value"]["exact"] == "3"
+    assert rows[1]["records"] == 1 and rows[1]["ok"] == 1
+
+
 def test_a_negative_twisted_dimension_is_refused_by_both_section_routes(capsys):
     # P^2 cut by two quadrics at g = 1, d = 1 has twisted dimension -1: the
     # closed form once printed -16 for it.
@@ -514,6 +532,12 @@ def test_run_refuses_unknown_path_and_variant_from_code():
         assert record["error"]["type"] == "ValueError" and name in record["error"]["message"]
         assert record["error"]["exit"] == EXIT_VALIDATION
 
+
+
+def test_run_refuses_an_unknown_mode_from_code():
+    record = run(JobRequest(mode="nope"))
+    assert record["ok"] is False and record["mode"] == "nope" and "value" not in record
+    assert record["error"] == {"type": "ValueError", "message": "unknown mode 'nope'", "exit": EXIT_VALIDATION}
 
 
 @pytest.mark.parametrize("request_, message", [
@@ -1092,6 +1116,9 @@ def test_preset_cli_list_and_run(capsys):
     assert code == EXIT_OK
     record = last_json(out)
     assert record["matched"] is True and record["expected"] == "24"
+    code, out = run_cli(capsys, "preset", "p2-elliptic-3pt")
+    assert code == EXIT_OK
+    assert out == "p2-elliptic-3pt: value=3 expected=3 matched=True\n"
 
 
 def test_run_request_directly():
@@ -1134,7 +1161,7 @@ HUGE = (("chern", 1, 5_000_000),)
     (JobRequest(mode="hypersurface", g=2, d=1, r=2, n=4, multidegree=(1,)),
      "RegimeViolationError", "need d*l > 2g-2"),
     (JobRequest(mode="hypersurface", g=1, d=2, r=2, n=4, multidegree=(1, 1)),
-     "ValueError", "hypersurface_integral expects exactly one section degree"),
+     "ValueError", "a hypersurface has exactly one section degree, got (1, 1)"),
     (JobRequest(mode="grassmannian", g=1, d=1, r=1, n=3, insertions=(("chern", 2, 2_500_000),)),
      "ValueError", "Chern insertion index 2 exceeds rank 1"),
     (JobRequest(mode="duality-check", g=1, d=1, r=3, n=3), "ValueError",
@@ -1174,12 +1201,15 @@ G23, G24 = GrassmannSpec(2, 3, 1, 1), GrassmannSpec(2, 4, 1, 2)
     (lambda m: twist.reduce_b_classes(BClassWord((1,), m), G23),
      "virtual dimension minus 1 (the pair count) is 2"),
 ])
-def test_a_huge_monomial_is_refused_by_every_count_before_it_is_expanded(count, message):
-    huge = Monomial(((chern(1), 5_000_000),))
+@pytest.mark.parametrize("spelling", [
+    lambda: Monomial(((chern(1), 5_000_000),)),
+    lambda: monomial((chern(1), 5_000_000)),
+], ids=["Monomial", "monomial"])
+def test_a_huge_monomial_is_refused_by_every_count_before_it_is_expanded(count, message, spelling):
     tracemalloc.start()
     try:
         with pytest.raises(DimensionMismatchError) as refused:
-            count(huge)
+            count(spelling())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -10,16 +10,17 @@ from quotcount.cyclotomic import Cyc, one, root_of_unity, zero
 from quotcount.errors import DimensionMismatchError, RegimeViolationError
 from quotcount.qh_oracle import fixed_domain_count_g0
 from quotcount.symfunc import (
+    CHERN,
+    SEGRE,
     Insertion,
     Monomial,
     as_monomial,
     chern,
     complete_homogeneous,
     elementary,
-    elementary_prefix,
-    homogeneous_prefix,
     monomial,
     segre,
+    symmetric_prefix,
 )
 from quotcount.twist import (
     BClassWord,
@@ -80,7 +81,7 @@ def test_insertion_validation():
 
 def test_monomial_and_degree():
     ins = monomial((chern(1), 3), (chern(2), 1))
-    assert len(ins) == 4
+    assert ins == ((chern(1), 3), (chern(2), 1)) and isinstance(ins, Monomial)
     assert as_monomial(ins).degree == 5
     assert as_monomial(monomial((segre(4), 2))).degree == 8
     # the product type: pairs of one insertion add up, zero exponents drop out
@@ -132,8 +133,8 @@ G23, G24 = GrassmannSpec(2, 3, 1, 1), GrassmannSpec(2, 4, 1, 2)
     (lambda ins: reduce_b_classes(BClassWord((1,), ins), G23), ((chern(1), 3),), DimensionMismatchError),
 ])
 def test_flat_and_monomial_insertions_give_one_outcome(call, pairs, expected):
-    flat = _outcome(call, monomial(*pairs))
-    assert _outcome(call, Monomial(pairs)) == flat
+    flat = _outcome(call, [ins for ins, x in pairs for _ in range(x)])
+    assert _outcome(call, Monomial(pairs)) == _outcome(call, monomial(*pairs)) == flat
     assert flat[0] is expected, flat
 
 
@@ -187,8 +188,8 @@ def general_tuples(draw):
 @given(general_tuples())
 @settings(max_examples=40, deadline=None)
 def test_prefixes_match_brute_force_on_general_elements(tup):
-    hs = homogeneous_prefix(tup, 4)
-    es = elementary_prefix(tup, 4)
+    hs = symmetric_prefix(SEGRE, tup, 4)
+    es = symmetric_prefix(CHERN, tup, 4)
     for i in range(5):
         assert hs[i] == brute_homogeneous(i, tup), i
         assert es[i] == brute_elementary(i, tup), i

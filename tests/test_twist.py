@@ -27,7 +27,7 @@ from quotcount.twist import (
     reduce_b_classes,
     tevelev_compare,
 )
-from quotcount.vi_engine import Enumerativity, GrassmannSpec, vi_integral
+from quotcount.vi_engine import SEGRE_ADVISORY, Enumerativity, GrassmannSpec, vi_integral
 
 
 def lagrangian_g24(g, d, m1, m2):
@@ -454,6 +454,9 @@ def test_advisor_bounds():
 def test_advisor_in_results():
     count = hypersurface_integral(lagrangian_g24(1, 2, 4, 1))
     assert count.advisory.status is Enumerativity.ENUMERATIVE_IF_WEAKLY_CONVEX
+    # a Segre insertion makes a section count virtual only
+    spec = ProblemSpec(GrassmannSpec(2, 4, 1, 2), (1,), monomial((chern(1), 4), (segre(2), 1)))
+    assert complete_intersection_integral(spec).advisory is SEGRE_ADVISORY
 
 
 def counts_on_a_small_grid():
