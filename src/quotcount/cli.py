@@ -530,22 +530,9 @@ def run_batch(path: str, out=None) -> int:
 
 
 # Distinct lines whose records one batch remembers (as their text cut
-# around `stats.seconds`, see _seconds_slot); later new lines are evaluated
+# around `stats.seconds`, see _run_lines); later new lines are evaluated
 # and not stored.  The benchmark's batch-mixed file has 1,373.
 RECORD_MEMO_SIZE = 4096
-
-
-def _seconds_slot(text: str, stats: dict) -> tuple[str, str]:
-    """(pre, post) with `pre + repr(seconds) + post` the text of a repeat of
-    the record `text`: its `stats`, with `"reused": true` and the repeat's own
-    `seconds`, encoded in place (json writes a float as its repr).  Keys are
-    sorted and JSON escapes every quote in a string, so the last
-    `"stats": {...}` is the record's own: the keys after it (tevelev, value)
-    hold only program-made numbers and flags."""
-    head, found, tail = text.rpartition('"stats": ' + _encode(stats))
-    assert found, "a record's stats must appear in its encoding"
-    before, _, after = _encode({**stats, "reused": True, "seconds": None}).partition('"seconds": null')
-    return f'{head}"stats": {before}"seconds": ', after + tail
 
 
 def _run_lines(handle, out) -> int:
@@ -553,7 +540,8 @@ def _run_lines(handle, out) -> int:
     exits: Counter = Counter()
     agreements = []
     # stripped line bytes -> (pre, post, exit code, path agreement) of the
-    # first record: its text cut around `stats.seconds` (`_seconds_slot`).
+    # first record: its own text cut around `stats.seconds`, with
+    # `"reused": true` in place; a repeat writes its seconds between them.
     # Keyed by bytes, not by the parsed request: JobRequest(g=True) ==
     # JobRequest(g=1), but only the second passes run()'s type checks.
     firsts: dict[bytes, tuple[str, str, int, Optional[bool]]] = {}
@@ -586,13 +574,18 @@ def _run_lines(handle, out) -> int:
             else:
                 record = run(request)
             # the line's whole span, as a repeat's: decoding and reading included
-            record["stats"]["seconds"] = round(time.perf_counter() - started, 6)
+            record["stats"]["seconds"] = seconds = round(time.perf_counter() - started, 6)
             code, text = _exit_code(record), _encode(record)
             agree = record["paths"]["agree"] if "paths" in record else None
             if len(firsts) < RECORD_MEMO_SIZE:
-                # cut now, not on the first repeat: batch-mixed's median
-                # line is a repeat, and a line's first run is slow anyway
-                firsts[key] = (*_seconds_slot(text, record["stats"]), code, agree)
+                # Cut now, not on the first repeat: batch-mixed's median line
+                # is a repeat, and a line's first run is slow anyway.  JSON
+                # escapes every quote in a string and writes a float as its
+                # repr, so this key and value occur once, in `stats`, and
+                # with sorted keys a repeat's "reused" goes just before them.
+                assert not any("reused" <= k < "seconds" for k in record["stats"]), "reused must precede seconds"
+                head, _, post = text.rpartition(f'"seconds": {seconds!r}')
+                firsts[key] = (head + '"reused": true, "seconds": ', post, code, agree)
         if agree is not None:
             agreements.append(agree)
         exits[code] += 1
@@ -635,6 +628,19 @@ def _usage() -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """The command line.  It writes a count of any size: CPython's int-to-str
+    digit limit is lifted until it returns; run() and run_batch() keep it."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit to lift
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: Optional[Sequence[str]]) -> int:
     words = sys.argv[1:] if argv is None else argv
     if "-h" in words or "--help" in words:
         print(_usage())

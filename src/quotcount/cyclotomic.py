@@ -156,10 +156,7 @@ def root_of_unity(n: int, a: int) -> Cyc:
     """
     if n < 1:
         raise ValueError("order must be a positive integer")
-    a %= n
-    num = [0] * n
-    num[a] = 1
-    return Cyc._make(n, tuple(num))
+    return one(n).rotate(a)
 
 
 @lru_cache(maxsize=None)

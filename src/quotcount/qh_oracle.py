@@ -75,11 +75,6 @@ class Partition(NamedTuple("Partition", [("parts", tuple[int, ...])])):
         return sum(self.parts)
 
 
-def _check_rank(r: int, n: int) -> None:
-    if not 1 <= r < n:
-        raise ValueError("need 1 <= r < n")
-
-
 # Products revisit the same (shape, insertion) pairs many times; the
 # table is bounded.
 @lru_cache(maxsize=16384)
@@ -133,7 +128,8 @@ class QClass:
 
     @classmethod
     def unit(cls, r: int, n: int) -> QClass:
-        _check_rank(r, n)
+        if not 1 <= r < n:
+            raise ValueError("need 1 <= r < n")
         return cls(r, n, {((0,) * r, 0): 1})
 
     def coefficient(self, partition: Partition, q_power: int) -> int:
@@ -175,8 +171,8 @@ def fixed_domain_count_g0(r: int, n: int, d: int, insertions: Monomial | Iterabl
     # Every product of effective classes has nonnegative coefficients; a
     # Segre index past the box reduces with signs by design.
     effective = all(ins.kind == CHERN or ins.index <= n - r for ins in monomial.present)
-    factors = [ins for ins, exp in sorted(monomial, key=lambda pair: pair[0].index, reverse=True)
-               for _ in range(exp)]
+    factors = (ins for ins, exp in sorted(monomial, key=lambda pair: pair[0].index, reverse=True)
+               for _ in range(exp))
     halves = [QClass.unit(r, n), QClass.unit(r, n)]
     for dealt, ins in enumerate(factors):
         half = halves[dealt % 2] = halves[dealt % 2].times(ins)

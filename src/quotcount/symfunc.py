@@ -127,11 +127,8 @@ def elementary(i: int, tup: Sequence[Cyc]) -> Cyc:
     """e_i of the tuple; 0 when i exceeds the tuple length (rank vanishing)."""
     if i < 0:
         raise ValueError("index must be nonnegative")
-    if not tup:
-        raise ValueError("cannot infer the root order from an empty tuple")
-    if i > len(tup):
-        return zero(tup[0].order)
-    return symmetric_prefix(CHERN, tup, i)[i]
+    values = symmetric_prefix(CHERN, tup, min(i, len(tup)))
+    return values[i] if i < len(values) else zero(tup[0].order)
 
 
 def complete_homogeneous(i: int, tup: Sequence[Cyc]) -> Cyc:

@@ -6,6 +6,7 @@ import os
 import pathlib
 import re
 import shlex
+import sys
 import time
 import tracemalloc
 
@@ -441,8 +442,9 @@ def test_a_count_too_long_to_print_is_a_record_of_its_own(tmp_path, capsys):
     assert rows[2]["ok"] is True and rows[2]["value"]["exact"] == "3"
     assert rows[3]["summary"] is True and rows[3]["records"] == 3
     assert code == EXIT_VALIDATION
+    # the command line lifts the limit (test_main_writes_a_count_of_any_size)
     code, out = run_cli(capsys, "closed-form", "--g", "0", "--d", "10000", "--r", "3", "--l", "2")
-    assert code == EXIT_VALIDATION and "ValueError" in out
+    assert code == EXIT_OK and "ValueError" not in out
 
 
 def test_cli_refuses_fewer_than_one_worker(capsys):
@@ -1319,6 +1321,35 @@ def test_a_repeat_splices_its_rounded_seconds_into_the_first_records_text(tmp_pa
     for row, seconds in zip(rows[1:5], durations):
         assert row["stats"] == {**first["stats"], "reused": True, "seconds": round(seconds, 6)}
         assert without_stats(row) == without_stats(first)
+
+
+def test_a_batch_encodes_each_distinct_line_once(tmp_path, monkeypatch):
+    from quotcount import cli
+
+    encoded = []
+    encode = cli._encode
+    monkeypatch.setattr(cli, "_encode", lambda obj: encoded.append(obj) or encode(obj))
+    lines = [
+        '{"mode": "grassmannian", "g": 1, "d": 1, "r": 2, "n": 3, "ins": "a1:3"}',
+        '{"mode": "tevelev", "g": 1, "d": 2, "r": 5, "multidegree": [2]}',
+        "not json",
+    ]
+    code, rows = run_batch_lines(tmp_path, lines + lines[::-1] + lines)
+    assert rows[-1]["stats"]["reused_records"] == 6
+    # one record per distinct line and the summary; a repeat is cut from the first's text
+    assert len(encoded) == len(lines) + 1 and encoded[-1]["summary"] is True
+
+
+def test_main_writes_a_count_of_any_size(capsys):
+    # the count has 7,226 digits, past CPython's default limit of 4,300 for str()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out = run_cli(capsys, "grassmannian", "--g", "1", "--d", "4000", "--r", "3", "--n", "6",
+                        "--ins", "a1:24000", "--format", "json")
+    value = last_json(out)["value"]
+    assert code == EXIT_OK
+    assert len(value["exact"]) == 7226 and value["exact"].startswith("31480903343531327437")
+    assert value["float_approx"] is None
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_a_batch_record_times_its_whole_line(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -304,3 +305,16 @@ def test_paired_count_matches_the_sequential_product(case):
 def test_a_thousand_rows_need_no_deep_stack():
     # the Pieri strips of G(1000, 1001) once recursed once per row
     assert fixed_domain_count_g0(1000, 1001, 0, [chern(1)] * 1000) == 1
+
+
+def test_a_power_is_dealt_one_factor_at_a_time():
+    # P^1 through 10001 points at degree 5000: the factors are never listed
+    power = monomial((chern(1), 10001))
+    tracemalloc.start()
+    try:
+        count = fixed_domain_count_g0(1, 2, 5000, power)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 1
+    assert peak < 32 * 1024, peak

@@ -1,5 +1,6 @@
 """The package's value types: checked construction, immutability, hashing by
-value and pickling (a process pool ships specs and insertions as pickles)."""
+value and pickling (a process pool ships specs and insertions as pickles);
+and the refusals and branches of the helpers that build and read them."""
 
 from __future__ import annotations
 
@@ -8,9 +9,10 @@ from fractions import Fraction
 
 import pytest
 
-from quotcount.cli import JobRequest, run
+from quotcount.cli import JobRequest, parse_insertions, run
+from quotcount.cyclotomic import Cyc, root_of_unity
 from quotcount.qh_oracle import Partition, QClass
-from quotcount.symfunc import Insertion, chern, segre
+from quotcount.symfunc import CHERN, Insertion, chern, complete_homogeneous, elementary, segre, symmetric_prefix
 from quotcount.twist import BClassWord, ProblemSpec, TevelevComparison
 from quotcount.vi_engine import (
     PLAIN_TARGET_ADVISORY,
@@ -19,6 +21,8 @@ from quotcount.vi_engine import (
     GrassmannSpec,
     SubsetIndex,
     VirtualCount,
+    j_factor,
+    necklaces,
 )
 
 SPEC = GrassmannSpec(2, 4, 1, 1)
@@ -68,6 +72,34 @@ def test_records_are_frozen_hash_by_value_and_pickle(record):
 def test_constructors_check_keyword_arguments_too(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+W = root_of_unity(3, 1)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: necklaces(3, 4), ValueError("density must satisfy 0 <= r <= n")),
+    (lambda: j_factor(SPEC, SubsetIndex((0, 5))), ValueError("subset does not match the spec")),
+    (lambda: QClass.unit(2, 2), ValueError("need 1 <= r < n")),
+    (lambda: Cyc(3, (1, 2)), ValueError("expected 3 coefficients, got 2")),
+    (lambda: W ** -1, ValueError("negative powers are not defined in Z[w]/(w^n - 1)")),
+    (lambda: root_of_unity(0, 1), ValueError("order must be a positive integer")),
+    (lambda: symmetric_prefix(CHERN, (), 1), ValueError("cannot infer the root order from an empty tuple")),
+    (lambda: elementary(1, ()), ValueError("cannot infer the root order from an empty tuple")),
+    (lambda: elementary(-1, (W,)), ValueError("index must be nonnegative")),
+    (lambda: complete_homogeneous(-1, (W,)), ValueError("index must be nonnegative")),
+    (lambda: parse_insertions("a1:2,,a2:1"), ((CHERN, 1, 2), (CHERN, 2, 1))),  # the empty piece is skipped
+    (lambda: W * 2, W.scale(2)),
+], ids=["necklace-density", "j-factor-subset", "qclass-rank", "cyc-length", "negative-power", "zero-order",
+        "prefix-empty", "elementary-empty", "elementary-negative", "complete-negative", "empty-insertion",
+        "times-int"])
+def test_a_helper_refuses_or_answers_exactly(call, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as info:
+            call()
+        assert str(info.value) == str(expected)
+    else:
+        assert call() == expected
 
 
 def test_virtual_count_compares_value_flag_and_advisory_only():
